@@ -37,6 +37,10 @@ from .polyring import ParseError, PolyRing, PolyringError, PrimeField, QQ
 
 SCHEMA_VERSION = 1
 TASKS = ("gb", "colon", "rr", "rednum", "dao", "verify")
+INT_OPTIONS = (
+    "trials", "seed", "rr_window", "rr_j_cap", "s_bound", "max_iter",
+    "known_reg", "degree_cap", "rr_n", "assert_dim",
+)
 DEFAULT_TIME_BUDGET = 1800.0
 
 
@@ -97,8 +101,18 @@ def validate_problem(problem: dict):
     task = problem.get("task")
     if task is not None:
         _require(task in TASKS, f"unknown task {task!r}; expected one of {TASKS}")
-    options = problem.get("options", {})
+    _validate_options(problem.get("options", {}))
+
+
+def _validate_options(options: dict):
     _require(isinstance(options, dict), "'options' must be an object")
+    for key in INT_OPTIONS:
+        if key in options:
+            value = options[key]
+            _require(
+                isinstance(value, int) and not isinstance(value, bool),
+                f"options.{key} must be an integer, got {value!r}",
+            )
 
 
 def build_ring(problem: dict) -> QuotientRing:
@@ -176,6 +190,7 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
     overrides = overrides or {}
     options = dict(problem.get("options", {}))
     options.update({k: v for k, v in overrides.items() if v is not None})
+    _validate_options(options)
     task = overrides.get("task") or problem.get("task")
     _require(task in TASKS, "no task given (in the problem file or on the command line)")
 
@@ -185,11 +200,11 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
     ring = build_ring(problem)
     handles: dict[str, IdealHandle] = {}
     policy = GenericElementPolicy(
-        trials=int(options.get("trials", 5)), seed=int(options.get("seed", 20260808))
+        trials=options.get("trials", 5), seed=options.get("seed", 20260808)
     )
     previous_cap = None
     if "degree_cap" in options:
-        previous_cap = set_degree_cap(int(options["degree_cap"]))
+        previous_cap = set_degree_cap(options["degree_cap"])
     started = time.monotonic()
 
     try:
@@ -248,8 +263,8 @@ def _dispatch(
         record = ratliff_rush_power(
             ring,
             n,
-            window=int(options.get("rr_window", 3)),
-            j_cap=int(options.get("rr_j_cap", 25)),
+            window=options.get("rr_window", 3),
+            j_cap=options.get("rr_j_cap", 25),
             policy=policy,
         )
         return {
@@ -263,7 +278,7 @@ def _dispatch(
         }
     if task == "rednum":
         ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
-        cert = reduction_number(ideal, max_iter=int(options.get("max_iter", 50)))
+        cert = reduction_number(ideal, max_iter=options.get("max_iter", 50))
         return {
             "ideal": options.get("ideal", "I"),
             "r": cert.r,
@@ -274,9 +289,9 @@ def _dispatch(
         report = dao_numbers(
             ideal,
             policy,
-            max_iter=int(options.get("max_iter", 50)),
-            rr_window=int(options.get("rr_window", 3)),
-            rr_j_cap=int(options.get("rr_j_cap", 25)),
+            max_iter=options.get("max_iter", 50),
+            rr_window=options.get("rr_window", 3),
+            rr_j_cap=options.get("rr_j_cap", 25),
             s_bound=options.get("s_bound"),
             known_reg=options.get("known_reg"),
         )
@@ -290,7 +305,9 @@ def _dispatch(
         assert_dim=options.get("assert_dim"),
         assert_minimal=bool(options.get("assert_minimal", False)),
         known_reg=options.get("known_reg"),
-        rr_window=int(options.get("rr_window", 3)),
+        max_iter=options.get("max_iter", 50),
+        rr_window=options.get("rr_window", 3),
+        rr_j_cap=options.get("rr_j_cap", 25),
         s_bound=options.get("s_bound"),
     )
     results = _dao_dict(report)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .groebner import GroebnerBasis, buchberger, eliminate, normal_form
+from .groebner import GroebnerBasis, buchberger, eliminate, normal_form, reduce_basis
 from .polyring import (
     PolyRing,
     Polynomial,
@@ -42,7 +42,7 @@ class QuotientRing:
         self.ambient = ambient
         rels = []
         for f in relations:
-            if f.ring != ambient:
+            if f.ring is not ambient:
                 raise RingMismatchError("relation from a different ring")
             if f.is_zero():
                 continue
@@ -109,7 +109,7 @@ class QuotientRing:
     def __eq__(self, other):
         return (
             isinstance(other, QuotientRing)
-            and other.ambient == self.ambient
+            and other.ambient is self.ambient
             and other.relations == self.relations
         )
 
@@ -131,12 +131,20 @@ class IdealHandle:
         self.ring = ring
         checked = []
         for g in gens:
-            if g.ring != ring.ambient:
+            if g.ring is not ring.ambient:
                 raise RingMismatchError("generator from a different ring")
             if g:
                 checked.append(g)
         self.gens = tuple(checked)
         self._gb: GroebnerBasis | None = None
+
+    @classmethod
+    def _with_basis(cls, ring: QuotientRing, gb: GroebnerBasis) -> "IdealHandle":
+        """Handle on an ideal that contains the relations and whose reduced
+        basis is already known."""
+        handle = cls(ring, gb.basis)
+        handle._gb = gb
+        return handle
 
     @property
     def gb(self) -> GroebnerBasis:
@@ -223,43 +231,39 @@ def ideal_intersection(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     gens_a = list(A.gb.basis)
     gens_b = list(B.gb.basis)
     if not gens_a or not gens_b:
-        return ring.zero_ideal() if not ring.relations else IdealHandle(ring, ())
+        return ring.zero_ideal()
     key = ("intersection", frozenset((A.gb.basis, B.gb.basis)))
     cached = ring._op_cache.get(key)
     if cached is not None:
         return cached
-    aux = _aux_name(ring.ambient)
-    ext = ring.ambient.extend_front([aux])
-    w = ext.gen(aux)
-    one = ext.one()
-    mixed = [w * ext.convert(g) for g in gens_a]
-    mixed += [(one - w) * ext.convert(g) for g in gens_b]
-    inter = eliminate(mixed, [aux])
-    back = [ring.ambient.convert(g) for g in inter]
-    result = IdealHandle(ring, back)
+    # Both lifts contain the relations, and the surviving elements of a
+    # reduced elimination basis are the reduced basis of the intersection.
+    inter = _intersect_lifts(ring.ambient, gens_a, gens_b)
+    result = IdealHandle._with_basis(ring, GroebnerBasis(ring.ambient, inter))
     ring._op_cache[key] = result
     return result
 
 
-def _colon_single(numerator_basis: Sequence[Polynomial], b: Polynomial) -> list[Polynomial]:
-    """Generators of (N : b) in P for a single nonzero b, via
-    (N ∩ (b)) · b^{-1}."""
-    ring = b.ring
-    if not numerator_basis:
-        return []
+def _intersect_lifts(
+    ring: PolyRing, gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial]
+) -> list[Polynomial]:
+    """Generators of (gens_a) ∩ (gens_b) in the polynomial ring, as
+    ( w·(gens_a) + (1-w)·(gens_b) ) ∩ ring with a fresh tag variable w."""
     aux = _aux_name(ring)
     ext = ring.extend_front([aux])
     w = ext.gen(aux)
-    one = ext.one()
-    mixed = [w * ext.convert(g) for g in numerator_basis]
-    mixed.append((one - w) * ext.convert(b))
-    inter = eliminate(mixed, [aux])
-    out = []
-    for g in inter:
-        g0 = ring.convert(g)
-        q = _exact_divide(g0, b)
-        out.append(q)
-    return out
+    one_minus_w = ext.one() - w
+    mixed = [w * ext.convert(g) for g in gens_a]
+    mixed += [one_minus_w * ext.convert(g) for g in gens_b]
+    return [ring.convert(g) for g in eliminate(mixed, [aux])]
+
+
+def _colon_single(numerator_basis: Sequence[Polynomial], b: Polynomial) -> GroebnerBasis:
+    """Reduced basis of (N : b) in P for a single nonzero b, via
+    (N ∩ (b)) · b^{-1}.  The quotients of a Groebner basis of N ∩ (b) by b
+    form a Groebner basis of N : b, since lead monomials are multiplicative."""
+    inter = _intersect_lifts(b.ring, numerator_basis, [b]) if numerator_basis else []
+    return reduce_basis(b.ring, [_exact_divide(g, b) for g in inter])
 
 
 def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
@@ -296,7 +300,7 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
         numerator = list(ring.relations)
     result: IdealHandle | None = None
     for b in gens_b:
-        cb = IdealHandle(ring, _colon_single(numerator, b))
+        cb = IdealHandle._with_basis(ring, _colon_single(numerator, b))
         result = cb if result is None else ideal_intersection(result, cb)
     assert result is not None
     ring._op_cache[key] = result
@@ -306,10 +310,11 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
 def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
     """Does f belong to B after localization at m?
 
-    Global membership (zero normal form) is checked first; otherwise
-    f ∈ B_m iff (B : f) + m = R, i.e. the colon contains a local unit.
+    Global membership (zero normal form) is checked first.  Otherwise
+    f ∈ B_m iff u·f ∈ B for some u with constant term 1; writing u = 1 - v
+    with v ∈ m, that is iff f ∈ B + m·f, a global membership test.
     """
-    if f.ring != B.ring.ambient:
+    if f.ring is not B.ring.ambient:
         raise RingMismatchError("element from a different ring")
     if normal_form(f, B.gb).is_zero():
         return True
@@ -319,9 +324,8 @@ def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
     key = ("contains", B.gb.basis, f)
     cached = B.ring._op_cache.get(key)
     if cached is None:
-        numerator = list(B.gb.basis) or list(B.ring.relations)
-        colon = IdealHandle(B.ring, _colon_single(numerator, f))
-        cached = colon.contains_unit_local()
+        widened = list(B.gb.basis) + [x * f for x in f.ring.gens()]
+        cached = normal_form(f, buchberger(widened)).is_zero()
         B.ring._op_cache[key] = cached
     return cached
 
@@ -346,13 +350,13 @@ def is_nonzerodivisor(f: Polynomial, ring: QuotientRing) -> bool:
     Tested as (J :_P f) ⊆ J after localization; elements that become zero in
     R are rejected.  Units are trivially regular.
     """
-    if f.ring != ring.ambient:
+    if f.ring is not ring.ambient:
         raise RingMismatchError("element from a different ring")
     fbar = ring.reduce(f)
     if fbar.is_zero():
         raise IdealcalcError("zero element: regularity is undefined for 0")
     if not ring.relations:
         return True
-    annihilator = IdealHandle(ring, _colon_single(list(ring.gbJ.basis), f))
+    annihilator = IdealHandle._with_basis(ring, _colon_single(list(ring.gbJ.basis), f))
     zero = IdealHandle(ring, ())
     return ideal_equal_local(annihilator, zero)

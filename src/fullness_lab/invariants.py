@@ -30,6 +30,7 @@ from .fullness import (
     is_weakly_m_full,
     sample_linear_form,
 )
+from .groebner import normal_form
 from .idealcalc import (
     IdealHandle,
     QuotientRing,
@@ -282,17 +283,28 @@ class DaoReport:
         return self.flags.get("alpha_validated", False)
 
 
-def _i_m_power(I: IdealHandle, n: int, cache: dict) -> IdealHandle:
-    """I * m^n, built incrementally."""
+def _i_m_power(I: IdealHandle, n: int, r: int, cache: dict) -> IdealHandle:
+    """I * m^n as an ideal of the local ring, built incrementally, for a
+    reduction I of m with reduction number r.
+
+    m^(n+r+1) = m^n * I m^r lies in I m^n locally, so I m^n + m^(n+r+1) is
+    the same local ideal; it is m-primary in P, which keeps the Groebner
+    bases of everything computed from it small.  The inclusion is checked:
+    by Nakayama, m^N lies in K locally iff it lies in K + m^(N+1).
+    """
     if n in cache:
         return cache[n]
-    if n == 0:
-        cache[0] = I
-        return I
-    prev = _i_m_power(I, n - 1, cache)
-    result = ideal_product(prev, I.ring.maximal_ideal())
-    cache[n] = result
-    return result
+    ring = I.ring
+    K = I if n == 0 else ideal_product(_i_m_power(I, n - 1, r, cache), ring.maximal_ideal())
+    N = n + r + 1
+    widened = IdealHandle(ring, list(K.gens) + list(ring.m_power(N + 1).gens))
+    if not all(normal_form(g, widened.gb).is_zero() for g in ring.m_power(N).gens):
+        raise InvariantError(
+            f"m^{N} is not inside I m^{n} locally although r = {r}; "
+            "this indicates an engine bug"
+        )
+    cache[n] = IdealHandle(ring, list(K.gens) + list(ring.m_power(N).gens))
+    return cache[n]
 
 
 def dao_numbers(
@@ -336,7 +348,7 @@ def dao_numbers(
         "rr_certified": False,
     }
     for n in range(alpha + 2):
-        K = _i_m_power(I, n, powers)
+        K = _i_m_power(I, n, r, powers)
         row = PredicateRow(
             n=n,
             m_full=is_m_full(K, policy.derive(f"table:m-full:{n}")),
@@ -433,13 +445,13 @@ def verify_statements(
 
     # Equivalence: I m^n is m-full  <=>  I m^{n+1} is full and I m^n weakly,
     # scanned over n = 0 .. alpha + 2.
-    powers: dict[int, IdealHandle] = {0: I}
+    powers: dict[int, IdealHandle] = {}
     scan_top = alpha + 3
     mismatch_hard: list[int] = []
     mismatch_soft: list[int] = []
     for n in range(scan_top):
-        K = _i_m_power(I, n, powers)
-        K1 = _i_m_power(I, n + 1, powers)
+        K = _i_m_power(I, n, report.r, powers)
+        K1 = _i_m_power(I, n + 1, report.r, powers)
         lhs = is_m_full(K, policy.derive(f"verify:m-full:{n}"))
         full_next = is_full(K1, policy.derive(f"verify:full:{n + 1}"))
         weakly = is_weakly_m_full(K)
@@ -479,6 +491,7 @@ def verify_statements(
         ring,
         min(report.s_certified_up_to, alpha + 2),
         window=dao_kwargs.get("rr_window", DEFAULT_RR_WINDOW),
+        j_cap=dao_kwargs.get("rr_j_cap", DEFAULT_RR_JCAP),
         policy=policy,
     ).records
     descend_bad = []

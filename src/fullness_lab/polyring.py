@@ -11,7 +11,9 @@ extension so characteristic-zero output round-trips, rational literals
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
+from operator import add, le, mul, neg, sub
 from typing import Iterator, Sequence
 
 # Comparison outcomes for monomial_compare.
@@ -161,24 +163,24 @@ class Monomial(tuple):
         return sum(self)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self, other))
+        return Monomial(map(add, self, other))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(le, self, other))
 
     def div(self, other: "Monomial") -> "Monomial":
         if not other.divides(self):
             raise PolyringError(f"monomial {other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self, other))
+        return Monomial(map(sub, self, other))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return Monomial(map(max, self, other))
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(min(a, b) for a, b in zip(self, other))
+        return Monomial(map(min, self, other))
 
     def is_coprime(self, other: "Monomial") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self, other))
+        return not any(map(mul, self, other))
 
     @staticmethod
     def unit(nvars: int) -> "Monomial":
@@ -188,14 +190,39 @@ class Monomial(tuple):
 def _drl_key(exps: Sequence[int]):
     # Degrevlex ascending key: higher total degree wins, ties broken by the
     # last distinct exponent being smaller.
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
+
+
+# Descending keys: each is the ascending key with every entry negated (and
+# the nesting flattened), so sorting by it lists monomials from largest to
+# smallest and a min-heap on it pops the largest monomial first.  They need
+# no per-exponent Python work, which is what the kernel's sorts and heaps
+# pay for.
+
+
+def _drl_desc_key(m):
+    return (-sum(m), m[::-1])
+
+
+def _lex_desc_key(m):
+    return tuple(map(neg, m))
+
+
+def _block_desc_key(split: int):
+    def desc_key(m):
+        head, tail = m[split - 1 :: -1], m[: split - 1 : -1]
+        return (-sum(head), head, -sum(tail), tail)
+
+    return desc_key
 
 
 class MonomialOrder:
     """Total order on monomials: degrevlex, lex, or a two-block elimination
-    order (first `split` variables dominate, degrevlex inside each block)."""
+    order (first `split` variables dominate, degrevlex inside each block).
 
-    __slots__ = ("kind", "split")
+    `desc_key(m)` sorts ascending in the opposite order to `key(m)`."""
+
+    __slots__ = ("kind", "split", "desc_key")
 
     DEGREVLEX = "degrevlex"
     LEX = "lex"
@@ -208,6 +235,12 @@ class MonomialOrder:
             raise PolyringError("block order needs a positive split index")
         self.kind = kind
         self.split = split
+        if kind == self.DEGREVLEX:
+            self.desc_key = _drl_desc_key
+        elif kind == self.LEX:
+            self.desc_key = _lex_desc_key
+        else:
+            self.desc_key = _block_desc_key(split)
 
     @classmethod
     def degrevlex(cls) -> "MonomialOrder":
@@ -227,6 +260,23 @@ class MonomialOrder:
         if self.kind == self.LEX:
             return tuple(m)
         return (_drl_key(m[: self.split]), _drl_key(m[self.split :]))
+
+    def weights(self, nvars: int, bound: int) -> tuple[int, ...]:
+        """Integer weights w such that sum(e_i * w_i) orders and tells apart
+        monomials as `key` does, provided every exponent is below `bound`.
+        The weighted sum of a product is the sum of its factors'."""
+        base = bound << nvars.bit_length()  # exceeds every total degree
+        if self.kind == self.LEX:
+            return tuple(base ** (nvars - 1 - i) for i in range(nvars))
+
+        def drl(n):  # degree first, then the smaller last exponent
+            return [base**n - base**i for i in range(n)]
+
+        if self.kind == self.DEGREVLEX:
+            return tuple(drl(nvars))
+        tail = nvars - self.split
+        scale = 2 * base ** (tail + 1)  # exceeds twice any tail-block sum
+        return tuple([w * scale for w in drl(self.split)] + drl(tail))
 
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
         if len(a) != len(b):
@@ -262,18 +312,30 @@ def monomial_compare(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
+# Live rings by (variables, field, order); an entry goes when its ring does.
+_RINGS: "weakref.WeakValueDictionary[tuple, PolyRing]" = weakref.WeakValueDictionary()
+
+
 class PolyRing:
-    """A polynomial ring: named variables, a coefficient field, an order."""
+    """A polynomial ring: named variables, a coefficient field, an order.
 
-    __slots__ = ("variables", "field", "order", "_var_index")
+    Rings are interned: equal (variables, field, order) give the same live
+    object, so rings compare by identity."""
 
-    def __init__(
-        self,
+    __slots__ = ("variables", "field", "order", "_var_index", "__weakref__")
+
+    def __new__(
+        cls,
         variables: Sequence[str],
         field: PrimeField | RationalField | None = None,
         order: MonomialOrder | None = None,
     ):
         variables = tuple(variables)
+        field = field if field is not None else PrimeField()
+        order = order if order is not None else MonomialOrder.degrevlex()
+        ring = _RINGS.get((variables, field, order))
+        if ring is not None:
+            return ring
         if not variables:
             raise PolyringError("a polynomial ring needs at least one variable")
         if len(set(variables)) != len(variables):
@@ -281,10 +343,16 @@ class PolyRing:
         for v in variables:
             if not _IDENT_RE.fullmatch(v):
                 raise PolyringError(f"invalid variable name {v!r}")
-        self.variables = variables
-        self.field = field if field is not None else PrimeField()
-        self.order = order if order is not None else MonomialOrder.degrevlex()
-        self._var_index = {v: i for i, v in enumerate(variables)}
+        ring = super().__new__(cls)
+        ring.variables = variables
+        ring.field = field
+        ring.order = order
+        ring._var_index = {v: i for i, v in enumerate(variables)}
+        _RINGS[variables, field, order] = ring
+        return ring
+
+    def __reduce__(self):
+        return (PolyRing, (self.variables, self.field, self.order))
 
     @property
     def characteristic(self) -> int:
@@ -324,14 +392,20 @@ class PolyRing:
         return Polynomial(self, ((Monomial(exps), self.field.one),))
 
     def from_dict(self, d: dict) -> "Polynomial":
-        zero = self.field.zero
-        terms = []
-        for m, c in d.items():
-            c = self.field.normalize(c)
-            if c != zero:
-                terms.append((Monomial(m), c))
-        terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
-        return Polynomial(self, tuple(terms))
+        normalize, zero = self.field.normalize, self.field.zero
+        return self._sorted((m, normalize(c)) for m, c in d.items())
+
+    def _sorted(self, items) -> "Polynomial":
+        """Polynomial from (exponents, normalized coefficient) pairs with
+        distinct exponents; zero coefficients are dropped."""
+        desc_key, zero = self.order.desc_key, self.field.zero
+        keyed = [
+            (desc_key(m), m if type(m) is Monomial else Monomial(m), c)
+            for m, c in items
+            if c != zero
+        ]
+        keyed.sort()
+        return Polynomial(self, tuple([(m, c) for _, m, c in keyed]))
 
     def parse(self, src: str) -> "Polynomial":
         return parse_polynomial(src, self)
@@ -371,17 +445,6 @@ class PolyRing:
                 exps[pos] = e
             d[tuple(exps)] = self.field.normalize(c)
         return self.from_dict(d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and other.variables == self.variables
-            and other.field == self.field
-            and other.order == self.order
-        )
-
-    def __hash__(self):
-        return hash((self.variables, self.field, self.order))
 
     def __repr__(self):
         return f"PolyRing({self.field!r}; {', '.join(self.variables)}; {self.order.kind})"
@@ -448,43 +511,39 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError("polynomials from different rings")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
         self._check(other)
-        field = self.ring.field
+        zero = self.ring.field.zero
         d = dict(self.terms)
         for m, c in other.terms:
-            s = field.add(d.get(m, field.zero), c)
-            if s == field.zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return self.ring.from_dict(d)
+            d[m] = op(d.get(m, zero), c)
+        return self.ring._sorted(d.items())
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, self.ring.field.add)
 
     def __neg__(self) -> "Polynomial":
         field = self.ring.field
         return Polynomial(self.ring, tuple((m, field.neg(c)) for m, c in self.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, self.ring.field.sub)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         field = self.ring.field
+        fadd, fmul, zero = field.add, field.mul, field.zero
         d: dict = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = m1.mul(m2)
-                s = field.add(d.get(m, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    d.pop(m, None)
-                else:
-                    d[m] = s
-        return self.ring.from_dict(d)
+                m = Monomial(map(add, m1, m2))
+                d[m] = fadd(d.get(m, zero), fmul(c1, c2))
+        return self.ring._sorted(d.items())
 
     def __rmul__(self, other) -> "Polynomial":
         return self.scale(other)
@@ -500,8 +559,9 @@ class Polynomial:
         field = self.ring.field
         if c == field.zero:
             return self.ring.zero()
+        fmul = field.mul
         return Polynomial(
-            self.ring, tuple((mm.mul(m), field.mul(cc, c)) for mm, cc in self.terms)
+            self.ring, tuple([(Monomial(map(add, mm, m)), fmul(cc, c)) for mm, cc in self.terms])
         )
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -517,9 +577,9 @@ class Polynomial:
         return result
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
         field = self.ring.field
+        if not self.terms or self.lead_coeff == field.one:
+            return self
         inv = field.inv(self.lead_coeff)
         return Polynomial(self.ring, tuple((m, field.mul(c, inv)) for m, c in self.terms))
 
@@ -550,7 +610,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and other.ring == self.ring
+            and other.ring is self.ring
             and other.terms == self.terms
         )
 

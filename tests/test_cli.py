@@ -141,6 +141,29 @@ def test_input_error_paths(tmp_path):
     )
     assert cli.main(["dao", "--input", str(missing_ideal)]) == 1
 
+    # integer-valued options of the wrong type are input errors, not tracebacks
+    base = corpus.load("regular_2d")
+    for option, value in [
+        ("trials", "x"),
+        ("degree_cap", "abc"),
+        ("s_bound", "5"),
+        ("known_reg", "3"),
+        ("max_iter", True),
+        ("rr_j_cap", 2.5),
+    ]:
+        wrong = tmp_path / f"wrong_{option}.json"
+        wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))
+        assert cli.main(["dao", "--input", str(wrong)]) == 1, option
+        with pytest.raises(cli.InputError):
+            cli.run(base, {"task": "dao", option: value})
+
+
+def test_verify_honors_max_iter():
+    # max_iter = 0 cannot certify the reduction number r = 1 of L = (x, y)
+    path = corpus.path("example_4_2_L")
+    assert cli.main(["verify", "--input", path, "--max-iter", "0"]) == 2
+    assert cli.main(["dao", "--input", path, "--max-iter", "0"]) == 2
+
 
 def test_mathematical_error_exit_code(tmp_path):
     not_reduction = tmp_path / "notred.json"

@@ -11,7 +11,7 @@ from fullness_lab.groebner import (
     normal_form,
     s_polynomial,
 )
-from fullness_lab.polyring import MonomialOrder, PolyRing, PrimeField
+from fullness_lab.polyring import MonomialOrder, PolyRing, PolyringError, PrimeField
 
 R2 = PolyRing(["x", "y"], PrimeField(32003))
 R3 = PolyRing(["x", "y", "z"], PrimeField(32003))
@@ -166,3 +166,33 @@ def test_basis_object_semantics():
     assert len(gb) == 1 and list(gb) == [P("x")]
     assert not gb.is_unit_ideal()
     assert buchberger([P("x + 1"), P("x")]).is_unit_ideal()
+
+
+def test_completion_loop_calls_module_level_kernels(monkeypatch):
+    # Outside tools wrap these module bindings to count the work of a run.
+    from fullness_lab import groebner
+
+    calls = {"s_polynomial": 0, "normal_form": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(groebner, name, counted)
+    gb = buchberger([P("x^2 + y"), P("x*y + 1")])
+    assert calls["s_polynomial"] >= 1 and calls["normal_form"] >= 1
+    assert gb.reducers is gb.reducers  # built once per basis
+
+
+def test_division_rejects_exponents_beyond_its_packing():
+    huge = R2.monomial((1 << 31, 0))
+    with pytest.raises(PolyringError):
+        normal_form(huge, [P("y")])
+    with pytest.raises(PolyringError):
+        normal_form(R2.monomial((1 << 40, 0)), [P("y")])
+    # just below the bound division still works
+    big = R2.monomial(((1 << 31) - 1, 1))
+    assert normal_form(big, [P("y")]).is_zero()
+    assert normal_form(big, [P("x^2")]).is_zero()

@@ -238,3 +238,25 @@ def test_monomial_oracle_consistency_small():
         assert basis_exps(ideal_product(hA, hB)) == oracles.mono_product(A, B)
         assert basis_exps(ideal_intersection(hA, hB)) == oracles.mono_intersection(A, B)
         assert basis_exps(ideal_colon(hA, hB)) == oracles.mono_colon(A, B)
+
+
+def test_colon_and_intersection_bases_match_a_fresh_completion():
+    # Colons and intersections keep the reduced basis their elimination
+    # produced; it must be the one a fresh Groebner run of the generators
+    # and the relations gives.
+    from fullness_lab.groebner import buchberger
+
+    rng = random.Random(5)
+    for ring in (ring_4_2(), ring_4_1(), REG2):
+        amb = ring.ambient
+        for _ in range(3):
+            forms = [
+                sum((amb.gen(v).scale(rng.randrange(1, 32003)) for v in amb.variables), amb.zero())
+                for _ in range(2)
+            ]
+            A = times_m_power(ring.ideal(forms), 1)
+            B = ring.ideal([forms[0] * forms[0], amb.gen(amb.variables[-1])])
+            for result in (ideal_colon(A, ring.maximal_ideal()), ideal_intersection(A, B),
+                           ideal_colon(A, ring.ideal([forms[1]]))):
+                fresh = buchberger(list(result.gens) + list(ring.relations))
+                assert result.gb.basis == fresh.basis

@@ -180,6 +180,20 @@ def test_dao_semigroup_minimal_reduction():
     assert rep.alpha_validated
 
 
+def test_table_ideals_are_truncated_by_a_checked_power_of_m():
+    # I m^n + m^(n+r+1) is I m^n in the local ring; an r that is too small
+    # is caught rather than silently changing the ideals.
+    from fullness_lab.invariants import InvariantError, _i_m_power
+
+    E = ring_4_2()
+    I = E.parse_ideal(["x"])  # r = 3
+    cache: dict = {}
+    for n in range(3):
+        assert ideal_equal_local(_i_m_power(I, n, 3, cache), times_m_power(I, n))
+    with pytest.raises(InvariantError):
+        _i_m_power(I, 1, 0, {})
+
+
 def test_dao_semigroup_non_minimal_reduction():
     E = ring_4_2()
     rep = dao_numbers(E.parse_ideal(["x", "y"]), POLICY)

@@ -219,3 +219,41 @@ def test_ring_validation():
         PolyRing(["x", "x"])
     with pytest.raises(PolyringError):
         PolyRing(["3x"])
+
+
+def test_rings_are_interned_and_weakly_held():
+    import copy
+    import gc
+    import pickle
+
+    from fullness_lab import polyring
+
+    assert PolyRing(["x", "y"], PrimeField(32003)) is R2
+    assert PolyRing(("x", "y")) is R2
+    assert R2.with_order(MonomialOrder.lex()).with_order(MonomialOrder.degrevlex()) is R2
+    assert PolyRing(["x", "y"], QQ) is RQ and RQ is not R2
+    assert copy.deepcopy(R2) is R2 and pickle.loads(pickle.dumps(R2)) is R2
+    # equal polynomials built through separately constructed rings are equal
+    assert parse_polynomial("x*y", PolyRing(["x", "y"])) == parse_polynomial("x*y", R2)
+
+    ident = (("u_interned", "v_interned"), PrimeField(101), MonomialOrder.degrevlex())
+    ring = PolyRing(*ident)
+    assert polyring._RINGS.get(ident) is ring
+    del ring
+    gc.collect()
+    assert polyring._RINGS.get(ident) is None
+
+
+def test_order_weights_agree_with_keys():
+    # The integer keys the division kernel sorts by must order monomials as
+    # MonomialOrder.key does, also near the exponent bound it assumes.
+    rng = random.Random(61)
+    bound = 1 << 31
+    for order in (MonomialOrder.degrevlex(), MonomialOrder.lex(),
+                  MonomialOrder.elimination(1), MonomialOrder.elimination(2)):
+        weights = order.weights(4, bound)
+        monos = [tuple(rng.randrange(6) for _ in range(4)) for _ in range(300)]
+        monos += [tuple(rng.choice((0, 1, bound - 1)) for _ in range(4)) for _ in range(100)]
+        by_key = sorted(set(monos), key=order.key)
+        by_weight = sorted(set(monos), key=lambda m: sum(e * w for e, w in zip(m, weights)))
+        assert by_key == by_weight
