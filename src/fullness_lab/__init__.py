@@ -24,9 +24,7 @@ from .polyring import (
     QQ,
     RationalField,
     RingMismatchError,
-    monomial_compare,
     parse_polynomial,
-    poly_multiply,
 )
 from .groebner import (
     DegreeCapExceeded,
@@ -47,7 +45,6 @@ from .idealcalc import (
     ideal_intersection,
     ideal_power,
     ideal_product,
-    ideal_sum,
     is_nonzerodivisor,
     times_m_power,
 )

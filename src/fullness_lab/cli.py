@@ -13,11 +13,12 @@ import json
 import signal
 import sys
 import time
+from collections import OrderedDict
 from importlib import metadata
 
 from . import corpus as corpus_pkg
 from .fullness import GenericElementPolicy, PredicateResult
-from .groebner import DegreeCapExceeded, set_degree_cap
+from .groebner import DEFAULT_DEGREE_CAP, DegreeCapExceeded
 from .idealcalc import (
     IdealHandle,
     IdealcalcError,
@@ -41,7 +42,15 @@ INT_OPTIONS = (
     "trials", "seed", "rr_window", "rr_j_cap", "s_bound", "max_iter",
     "known_reg", "degree_cap", "rr_n", "assert_dim",
 )
+TYPED_OPTIONS = {"assert_minimal": bool, "ideal": str, "colon_a": str, "colon_b": str}
 DEFAULT_TIME_BUDGET = 1800.0
+# Rings of the most recent presentations served in this process, with their
+# ring-level results (m powers, Ratliff-Rush records, depth witness), keyed
+# by the canonical ring spec and the degree cap, least recently used first.
+# It lives in the module because `run(problem)` is the whole interface a
+# long-lived caller has.
+RING_TABLE_CAP = 8
+_RING_TABLE: "OrderedDict[tuple, QuotientRing]" = OrderedDict()
 
 
 class InputError(Exception):
@@ -113,19 +122,36 @@ def _validate_options(options: dict):
                 isinstance(value, int) and not isinstance(value, bool),
                 f"options.{key} must be an integer, got {value!r}",
             )
+    for key, kind in TYPED_OPTIONS.items():
+        if key in options:
+            _require(
+                isinstance(options[key], kind),
+                f"options.{key} must be a {kind.__name__}, got {options[key]!r}",
+            )
 
 
-def build_ring(problem: dict) -> QuotientRing:
+def build_ring(problem: dict, degree_cap: int = DEFAULT_DEGREE_CAP) -> QuotientRing:
+    """The ring of the problem's presentation, reused from the ring table
+    when the same presentation and degree cap were served recently."""
     spec = problem["ring"]
+    key = (json.dumps(spec, sort_keys=True), degree_cap)
+    ring = _RING_TABLE.get(key)
+    if ring is not None:
+        _RING_TABLE.move_to_end(key)
+        return ring
     char = spec.get("characteristic", 32003)
     field = QQ if char == 0 else PrimeField(char)
     ambient = PolyRing(spec["variables"], field)
     try:
         relations = [ambient.parse(s) for s in spec.get("relations", [])]
-        return QuotientRing(ambient, relations)
+        ring = QuotientRing(ambient, relations, degree_cap)
     except (ParseError, IdealcalcError) as e:
         # malformed presentations are input errors, not engine failures
         raise InputError(f"bad ring presentation: {e}") from None
+    _RING_TABLE[key] = ring
+    if len(_RING_TABLE) > RING_TABLE_CAP:
+        _RING_TABLE.popitem(last=False)
+    return ring
 
 
 def _resolve_ideal(name: str, ring: QuotientRing, ideals: dict, problem: dict) -> IdealHandle:
@@ -197,21 +223,15 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
     canonical = json.dumps(problem, sort_keys=True, separators=(",", ":"))
     input_hash = hashlib.sha256(canonical.encode()).hexdigest()
 
-    ring = build_ring(problem)
+    ring = build_ring(problem, options.get("degree_cap", DEFAULT_DEGREE_CAP))
+    # Ideal results live for one request; ring-level results stay.
+    ring._op_cache.clear()
     handles: dict[str, IdealHandle] = {}
     policy = GenericElementPolicy(
         trials=options.get("trials", 5), seed=options.get("seed", 20260808)
     )
-    previous_cap = None
-    if "degree_cap" in options:
-        previous_cap = set_degree_cap(options["degree_cap"])
     started = time.monotonic()
-
-    try:
-        results = _dispatch(task, options, ring, handles, problem, policy)
-    finally:
-        if previous_cap is not None:
-            set_degree_cap(previous_cap)
+    results = _dispatch(task, options, ring, handles, problem, policy)
 
     report_obj = {
         "schema_version": SCHEMA_VERSION,
@@ -303,7 +323,7 @@ def _dispatch(
         ideal,
         policy,
         assert_dim=options.get("assert_dim"),
-        assert_minimal=bool(options.get("assert_minimal", False)),
+        assert_minimal=options.get("assert_minimal", False),
         known_reg=options.get("known_reg"),
         max_iter=options.get("max_iter", 50),
         rr_window=options.get("rr_window", 3),

@@ -31,19 +31,9 @@ from .polyring import (
 )
 
 DEFAULT_DEGREE_CAP = 60
-_active_degree_cap = DEFAULT_DEGREE_CAP
 _BITS = 32
 _BOUND = 1 << (_BITS - 1)
 _FIELD = (1 << _BITS) - 1
-
-
-def set_degree_cap(cap: int) -> int:
-    """Set the process-wide degree cap used when callers pass none;
-    returns the previous value so it can be restored."""
-    global _active_degree_cap
-    previous = _active_degree_cap
-    _active_degree_cap = cap
-    return previous
 
 
 class DegreeCapExceeded(PolyringError):
@@ -283,15 +273,13 @@ def _update_pairs(
 def buchberger(
     generators: Sequence[Polynomial],
     order: MonomialOrder | None = None,
-    degree_cap: int | None = None,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`.
 
     If `order` differs from the generators' ring order, computation happens
     in a re-ordered copy of the ring.
     """
-    if degree_cap is None:
-        degree_cap = _active_degree_cap
     gens = [g for g in generators]
     if not gens:
         raise PolyringError("buchberger: empty generator list")
@@ -350,7 +338,7 @@ def buchberger(
 def eliminate(
     generators: Sequence[Polynomial],
     drop: Iterable[str],
-    degree_cap: int | None = None,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> list[Polynomial]:
     """Generators of <generators> intersected with the subring on the
     variables outside `drop`, via a block elimination order.

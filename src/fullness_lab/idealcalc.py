@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .groebner import GroebnerBasis, buchberger, eliminate, normal_form, reduce_basis
+from .groebner import (
+    DEFAULT_DEGREE_CAP,
+    GroebnerBasis,
+    buchberger,
+    eliminate,
+    normal_form,
+    reduce_basis,
+)
 from .polyring import (
     PolyRing,
     Polynomial,
@@ -36,10 +43,22 @@ def _aux_name(ring: PolyRing) -> str:
 
 
 class QuotientRing:
-    """Presentation of the local ring (P/J) localized at m = (variables)."""
+    """Presentation of the local ring (P/J) localized at m = (variables).
 
-    def __init__(self, ambient: PolyRing, relations: Sequence[Polynomial] = ()):
+    The ring owns everything computed from its presentation alone: the
+    basis of J, the powers of m, and the depth witness and Ratliff-Rush
+    records of m-powers that `invariants` stores here.  Every Groebner run
+    on its ideals honours its degree cap.
+    """
+
+    def __init__(
+        self,
+        ambient: PolyRing,
+        relations: Sequence[Polynomial] = (),
+        degree_cap: int = DEFAULT_DEGREE_CAP,
+    ):
         self.ambient = ambient
+        self.degree_cap = degree_cap
         rels = []
         for f in relations:
             if f.ring is not ambient:
@@ -55,8 +74,11 @@ class QuotientRing:
         self.relations = tuple(rels)
         self._gbJ: GroebnerBasis | None = None
         self._m_powers: dict[int, IdealHandle] = {}
-        # Write-once memo for ideal operations; results depend only on the
-        # lifted ideals, so reduced bases are sound cache keys.
+        self.regular_form: Polynomial | None = None
+        self.rr_records: dict = {}
+        # Memo of ideal operations, keyed by reduced bases (results depend
+        # only on the lifted ideals).  A long-lived caller clears it between
+        # requests, so it never holds more than one request's ideals.
         self._op_cache: dict = {}
         if self.relations:
             gb = self.gbJ
@@ -67,14 +89,10 @@ class QuotientRing:
     def gbJ(self) -> GroebnerBasis:
         if self._gbJ is None:
             if self.relations:
-                self._gbJ = buchberger(self.relations)
+                self._gbJ = buchberger(self.relations, degree_cap=self.degree_cap)
             else:
                 self._gbJ = GroebnerBasis(self.ambient, (), reduced=True)
         return self._gbJ
-
-    @property
-    def is_ambient_regular(self) -> bool:
-        return not self.relations
 
     def ideal(self, gens: Sequence[Polynomial]) -> "IdealHandle":
         return IdealHandle(self, gens)
@@ -151,7 +169,7 @@ class IdealHandle:
         if self._gb is None:
             gens = list(self.gens) + list(self.ring.relations)
             if gens:
-                self._gb = buchberger(gens)
+                self._gb = buchberger(gens, degree_cap=self.ring.degree_cap)
             else:
                 self._gb = GroebnerBasis(self.ring.ambient, (), reduced=True)
         return self._gb
@@ -172,9 +190,6 @@ class IdealHandle:
     def is_proper_local(self) -> bool:
         return not self.contains_unit_local()
 
-    def same_lift(self, other: "IdealHandle") -> bool:
-        return self.ring == other.ring and self.gb.basis == other.gb.basis
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens) or "0"
         return f"IdealHandle({gens})"
@@ -183,11 +198,6 @@ class IdealHandle:
 def _check_same_ring(A: IdealHandle, B: IdealHandle):
     if A.ring != B.ring:
         raise RingMismatchError("ideals live in different rings")
-
-
-def ideal_sum(A: IdealHandle, B: IdealHandle) -> IdealHandle:
-    _check_same_ring(A, B)
-    return IdealHandle(A.ring, A.gens + B.gens)
 
 
 def ideal_product(A: IdealHandle, B: IdealHandle) -> IdealHandle:
@@ -238,14 +248,17 @@ def ideal_intersection(A: IdealHandle, B: IdealHandle) -> IdealHandle:
         return cached
     # Both lifts contain the relations, and the surviving elements of a
     # reduced elimination basis are the reduced basis of the intersection.
-    inter = _intersect_lifts(ring.ambient, gens_a, gens_b)
+    inter = _intersect_lifts(ring.ambient, gens_a, gens_b, ring.degree_cap)
     result = IdealHandle._with_basis(ring, GroebnerBasis(ring.ambient, inter))
     ring._op_cache[key] = result
     return result
 
 
 def _intersect_lifts(
-    ring: PolyRing, gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial]
+    ring: PolyRing,
+    gens_a: Sequence[Polynomial],
+    gens_b: Sequence[Polynomial],
+    degree_cap: int,
 ) -> list[Polynomial]:
     """Generators of (gens_a) ∩ (gens_b) in the polynomial ring, as
     ( w·(gens_a) + (1-w)·(gens_b) ) ∩ ring with a fresh tag variable w."""
@@ -255,14 +268,16 @@ def _intersect_lifts(
     one_minus_w = ext.one() - w
     mixed = [w * ext.convert(g) for g in gens_a]
     mixed += [one_minus_w * ext.convert(g) for g in gens_b]
-    return [ring.convert(g) for g in eliminate(mixed, [aux])]
+    return [ring.convert(g) for g in eliminate(mixed, [aux], degree_cap)]
 
 
-def _colon_single(numerator_basis: Sequence[Polynomial], b: Polynomial) -> GroebnerBasis:
+def _colon_single(
+    numerator_basis: Sequence[Polynomial], b: Polynomial, degree_cap: int
+) -> GroebnerBasis:
     """Reduced basis of (N : b) in P for a single nonzero b, via
     (N ∩ (b)) · b^{-1}.  The quotients of a Groebner basis of N ∩ (b) by b
     form a Groebner basis of N : b, since lead monomials are multiplicative."""
-    inter = _intersect_lifts(b.ring, numerator_basis, [b]) if numerator_basis else []
+    inter = _intersect_lifts(b.ring, numerator_basis, [b], degree_cap) if numerator_basis else []
     return reduce_basis(b.ring, [_exact_divide(g, b) for g in inter])
 
 
@@ -296,11 +311,9 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     if cached is not None:
         return cached
     numerator = list(A.gb.basis)
-    if not numerator:
-        numerator = list(ring.relations)
     result: IdealHandle | None = None
     for b in gens_b:
-        cb = IdealHandle._with_basis(ring, _colon_single(numerator, b))
+        cb = IdealHandle._with_basis(ring, _colon_single(numerator, b, ring.degree_cap))
         result = cb if result is None else ideal_intersection(result, cb)
     assert result is not None
     ring._op_cache[key] = result
@@ -325,7 +338,7 @@ def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
     cached = B.ring._op_cache.get(key)
     if cached is None:
         widened = list(B.gb.basis) + [x * f for x in f.ring.gens()]
-        cached = normal_form(f, buchberger(widened)).is_zero()
+        cached = normal_form(f, buchberger(widened, degree_cap=B.ring.degree_cap)).is_zero()
         B.ring._op_cache[key] = cached
     return cached
 
@@ -357,6 +370,6 @@ def is_nonzerodivisor(f: Polynomial, ring: QuotientRing) -> bool:
         raise IdealcalcError("zero element: regularity is undefined for 0")
     if not ring.relations:
         return True
-    annihilator = IdealHandle._with_basis(ring, _colon_single(list(ring.gbJ.basis), f))
+    annihilator = IdealHandle._with_basis(ring, _colon_single(list(ring.gbJ.basis), f, ring.degree_cap))
     zero = IdealHandle(ring, ())
     return ideal_equal_local(annihilator, zero)

@@ -19,7 +19,6 @@ validate alpha, and reports carry explicit certification flags.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .fullness import (
@@ -66,46 +65,19 @@ class ChainCapExceeded(InvariantError):
     pass
 
 
-# Per-ring caches for m-power colon chains; rings are immutable so cached
-# results stay valid for the ring's lifetime.
-_RING_CACHES: "weakref.WeakKeyDictionary[QuotientRing, dict]" = weakref.WeakKeyDictionary()
-
-
-def _ring_cache(ring: QuotientRing) -> dict:
-    cache = _RING_CACHES.get(ring)
-    if cache is None:
-        cache = {"m_colon": {}, "depth_witness": None}
-        _RING_CACHES[ring] = cache
-    return cache
-
-
-def _m_power_colon(ring: QuotientRing, a: int, b: int) -> IdealHandle:
-    """m^a : m^b, computed as an iterated colon and cached per ring."""
-    cache = _ring_cache(ring)["m_colon"]
-    known = b
-    while known > 0 and (a, known) not in cache:
-        known -= 1
-    current = ring.m_power(a) if known == 0 else cache[(a, known)]
-    m = ring.maximal_ideal()
-    for step in range(known + 1, b + 1):
-        current = ideal_colon(current, m)
-        cache[(a, step)] = current
-    return current
-
-
 def depth_witness(ring: QuotientRing, policy: GenericElementPolicy | None = None) -> Polynomial:
-    """A verified regular linear form in m; raises DepthProbeError if the
-    sampled candidates all fail (depth 0, or bad luck)."""
-    cache = _ring_cache(ring)
-    if cache["depth_witness"] is not None:
-        return cache["depth_witness"]
+    """A verified regular linear form in m, kept by the ring; raises
+    DepthProbeError if the sampled candidates all fail (depth 0, or bad
+    luck)."""
+    if ring.regular_form is not None:
+        return ring.regular_form
     policy = policy or GenericElementPolicy()
     rng = policy.rng("depth-probe")
     failures = 0
     for _ in range(max(policy.trials, 3)):
         ell = sample_linear_form(ring, rng)
         if is_nonzerodivisor(ell, ring):
-            cache["depth_witness"] = ell
+            ring.regular_form = ell
             return ell
         failures += 1
     raise DepthProbeError(
@@ -178,7 +150,8 @@ def ratliff_rush_power(
 
     The chain is provably increasing; that is asserted at every step.  A run
     of `window` equal consecutive terms stops the scan, but since colon
-    chains may pause, the record is marked certified=False.
+    chains may pause, the record is marked certified=False.  Records of
+    m-powers depend on the ring alone and are kept by it.
     """
     if n < 1:
         raise InvariantError("ratliff_rush_power needs a positive power")
@@ -188,13 +161,19 @@ def ratliff_rush_power(
     # For base ideals other than m the caller is responsible for the base
     # containing a regular element (automatic for m-primary bases here).
     base_is_m = base is None
+    if base_is_m and (n, window, j_cap) in ring.rr_records:
+        return ring.rr_records[(n, window, j_cap)]
     chain: list[IdealHandle] = []
     matches = 1
     j = 0
     while j < j_cap:
         j += 1
         if base_is_m:
-            term = _m_power_colon(ring, n + j, j)
+            # m^(n+j) : m^j as j colons by m; the memo shares the steps
+            # between chains.
+            term = ring.m_power(n + j)
+            for _ in range(j):
+                term = ideal_colon(term, ring.maximal_ideal())
         else:
             term = ideal_colon(ideal_power(base, n + j), ideal_power(base, j))
         if chain:
@@ -208,7 +187,7 @@ def ratliff_rush_power(
                 matches = 1
         chain.append(term)
         if matches >= window:
-            return RRChainRecord(
+            record = RRChainRecord(
                 n=n,
                 chain=tuple(chain),
                 stable_value=term,
@@ -217,6 +196,9 @@ def ratliff_rush_power(
                 stabilized_at=j - window + 1,
                 base_is_maximal=base_is_m,
             )
+            if base_is_m:
+                ring.rr_records[(n, window, j_cap)] = record
+            return record
     raise ChainCapExceeded(
         f"colon chain for power {n} showed no window of {window} equal terms "
         f"within j <= {j_cap}"

@@ -13,10 +13,10 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import add, le, neg, sub
 from typing import Iterator, Sequence
 
-# Comparison outcomes for monomial_compare.
+# Comparison outcomes of MonomialOrder.compare.
 LT, EQ, GT = -1, 0, 1
 
 DEFAULT_PRIME = 32003
@@ -176,12 +176,6 @@ class Monomial(tuple):
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(map(max, self, other))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(map(min, self, other))
-
-    def is_coprime(self, other: "Monomial") -> bool:
-        return not any(map(mul, self, other))
-
     @staticmethod
     def unit(nvars: int) -> "Monomial":
         return Monomial((0,) * nvars)
@@ -279,6 +273,7 @@ class MonomialOrder:
         return tuple([w * scale for w in drl(self.split)] + drl(tail))
 
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """Compare two monomials; returns LT, EQ or GT."""
         if len(a) != len(b):
             raise RingMismatchError("monomials of different lengths are not comparable")
         ka, kb = self.key(a), self.key(b)
@@ -302,11 +297,6 @@ class MonomialOrder:
         if self.kind == self.BLOCK:
             return f"MonomialOrder(block, split={self.split})"
         return f"MonomialOrder({self.kind})"
-
-
-def monomial_compare(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """Compare two monomials; returns LT, EQ or GT."""
-    return order.compare(a, b)
 
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -486,12 +476,6 @@ class Polynomial:
         return max(m.total_degree for m, _ in self.terms)
 
     @property
-    def min_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return min(m.total_degree for m, _ in self.terms)
-
-    @property
     def constant_term(self):
         unit = Monomial.unit(self.ring.nvars)
         for m, c in self.terms:
@@ -659,11 +643,6 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-def poly_multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact product of two polynomials of the same ring."""
-    return f * g
-
-
 # -- parser ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -809,7 +788,3 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
         for rest in monomials_of_degree(nvars - 1, degree - first):
             yield Monomial((first,) + tuple(rest))
 
-
-def monomials_up_to_degree(nvars: int, max_degree: int) -> Iterator[Monomial]:
-    for d in range(max_degree + 1):
-        yield from monomials_of_degree(nvars, d)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and the bundled corpus."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from fullness_lab import cli
 from fullness_lab import corpus
+from fullness_lab.idealcalc import QuotientRing
 
 
 FAST_CORPUS = [e["name"] for e in corpus.listing() if not e["slow"]]
@@ -141,7 +143,7 @@ def test_input_error_paths(tmp_path):
     )
     assert cli.main(["dao", "--input", str(missing_ideal)]) == 1
 
-    # integer-valued options of the wrong type are input errors, not tracebacks
+    # options of the wrong type are input errors, not tracebacks
     base = corpus.load("regular_2d")
     for option, value in [
         ("trials", "x"),
@@ -150,6 +152,10 @@ def test_input_error_paths(tmp_path):
         ("known_reg", "3"),
         ("max_iter", True),
         ("rr_j_cap", 2.5),
+        ("assert_minimal", "false"),
+        ("ideal", ["m"]),
+        ("colon_a", ["A"]),
+        ("colon_b", 1),
     ]:
         wrong = tmp_path / f"wrong_{option}.json"
         wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))
@@ -181,22 +187,59 @@ def test_mathematical_error_exit_code(tmp_path):
 
 
 def test_degree_cap_option_maps_to_math_error(tmp_path):
+    problem = {
+        "ring": {"characteristic": 32003, "variables": ["x", "y", "t"], "relations": []},
+        "ideals": {"A": ["x - t^2", "y - t^3"], "B": ["x"]},
+        "task": "colon",
+        "options": {"colon_a": "A", "colon_b": "B"},
+    }
+    uncapped = tmp_path / "uncapped.json"
+    uncapped.write_text(json.dumps(problem))
     capped = tmp_path / "capped.json"
-    capped.write_text(
-        json.dumps(
-            {
-                "ring": {"characteristic": 32003, "variables": ["x", "y", "t"], "relations": []},
-                "ideals": {"A": ["x - t^2", "y - t^3"], "B": ["x"]},
-                "task": "colon",
-                "options": {"colon_a": "A", "colon_b": "B", "degree_cap": 2},
-            }
-        )
-    )
+    capped.write_text(json.dumps(dict(problem, options={**problem["options"], "degree_cap": 2})))
+    # the cap applies to its own request only, whatever ran before or after
+    assert cli.main(["colon", "--input", str(uncapped)]) == 0
     assert cli.main(["colon", "--input", str(capped)]) == 2
-    # the process-wide cap is restored afterwards
-    from fullness_lab import groebner
+    assert cli.main(["colon", "--input", str(uncapped)]) == 0
 
-    assert groebner._active_degree_cap == groebner.DEFAULT_DEGREE_CAP
+
+def test_ring_table_stays_bounded():
+    # Serve many distinct presentations (regular_2d with renamed variables)
+    # in one process: only the table's rings stay alive, each holding the
+    # memo of at most one request.
+    def presentation(i):
+        problem = corpus.load("regular_2d")
+        problem["ring"]["variables"] = [f"bounded{i}x", f"bounded{i}y"]
+        problem["options"]["s_bound"] = 2
+        return problem
+
+    def live_rings():
+        gc.collect()
+        return [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, QuotientRing) and obj.ambient.variables[0].startswith("bounded")
+        ]
+
+    cli.run(presentation(0))
+    (ring,) = live_rings()
+    one_request = len(ring._op_cache)
+    del ring
+    cap = cli.RING_TABLE_CAP
+    reports = [cli.run(presentation(i)) for i in range(1, 3 * cap)]
+    rings = live_rings()
+    assert len(rings) <= cap
+    assert all(len(r._op_cache) <= one_request for r in rings)
+    (ring,) = [r for r in rings if r.ambient.variables[0] == f"bounded{3 * cap - 1}x"]
+    del rings
+
+    # a second request on a recent presentation reuses its ring
+    last = presentation(3 * cap - 1)
+    again = cli.run(last)
+    assert cli.build_ring(last) is ring
+    assert len(ring._op_cache) <= one_request
+    reports[-1].pop("timing_ms")
+    again.pop("timing_ms")
+    assert again == reports[-1]
 
 
 def test_characteristic_zero_pipeline():
