@@ -27,6 +27,8 @@ from .idealcalc import (
     ideal_equal_local,
 )
 from .invariants import (
+    DEFAULT_RR_JCAP,
+    DEFAULT_RR_WINDOW,
     DaoReport,
     InvariantError,
     dao_numbers,
@@ -227,9 +229,7 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
     # Ideal results live for one request; ring-level results stay.
     ring._op_cache.clear()
     handles: dict[str, IdealHandle] = {}
-    policy = GenericElementPolicy(
-        trials=options.get("trials", 5), seed=options.get("seed", 20260808)
-    )
+    policy = GenericElementPolicy(**_given(options, "trials", "seed"))
     started = time.monotonic()
     results = _dispatch(task, options, ring, handles, problem, policy)
 
@@ -251,6 +251,11 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
             report_obj["expected_diffs"] = diffs
     report_obj["timing_ms"] = int((time.monotonic() - started) * 1000)
     return report_obj
+
+
+def _given(options: dict, *names: str) -> dict:
+    """The named options the request sets; the rest keep library defaults."""
+    return {name: options[name] for name in names if name in options}
 
 
 def _dispatch(
@@ -283,8 +288,8 @@ def _dispatch(
         record = ratliff_rush_power(
             ring,
             n,
-            window=options.get("rr_window", 3),
-            j_cap=options.get("rr_j_cap", 25),
+            window=options.get("rr_window", DEFAULT_RR_WINDOW),
+            j_cap=options.get("rr_j_cap", DEFAULT_RR_JCAP),
             policy=policy,
         )
         return {
@@ -298,37 +303,19 @@ def _dispatch(
         }
     if task == "rednum":
         ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
-        cert = reduction_number(ideal, max_iter=options.get("max_iter", 50))
+        cert = reduction_number(ideal, **_given(options, "max_iter"))
         return {
             "ideal": options.get("ideal", "I"),
             "r": cert.r,
             "checked_up_to": cert.checked_up_to,
         }
-    if task == "dao":
-        ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
-        report = dao_numbers(
-            ideal,
-            policy,
-            max_iter=options.get("max_iter", 50),
-            rr_window=options.get("rr_window", 3),
-            rr_j_cap=options.get("rr_j_cap", 25),
-            s_bound=options.get("s_bound"),
-            known_reg=options.get("known_reg"),
-        )
-        return _dao_dict(report)
-    # verify
+    # dao and verify
     ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
+    dao_kwargs = _given(options, "max_iter", "rr_window", "rr_j_cap", "s_bound", "known_reg")
+    if task == "dao":
+        return _dao_dict(dao_numbers(ideal, policy, **dao_kwargs))
     report, checks = verify_statements(
-        ring,
-        ideal,
-        policy,
-        assert_dim=options.get("assert_dim"),
-        assert_minimal=options.get("assert_minimal", False),
-        known_reg=options.get("known_reg"),
-        max_iter=options.get("max_iter", 50),
-        rr_window=options.get("rr_window", 3),
-        rr_j_cap=options.get("rr_j_cap", 25),
-        s_bound=options.get("s_bound"),
+        ring, ideal, policy, **_given(options, "assert_dim", "assert_minimal"), **dao_kwargs
     )
     results = _dao_dict(report)
     results["checks"] = [

@@ -107,42 +107,44 @@ def is_weakly_m_full(I: IdealHandle) -> PredicateResult:
     return PredicateResult(value, None, certified=True, trials_used=0)
 
 
-def is_m_full(I: IdealHandle, policy: GenericElementPolicy | None = None) -> PredicateResult:
-    """Existential predicate: Im : x = I for a sampled x in m \\ m^2."""
+def _equation(I: IdealHandle, predicate: str):
+    """The test of one x in m \\ m^2 that witnesses `predicate` for I."""
     _validate_proper(I)
+    m = I.ring.maximal_ideal()
+    if predicate == "m-full":  # Im : x = I
+        N, T = ideal_product(I, m), I
+    elif predicate == "full":  # I : x = I : m
+        N, T = I, ideal_colon(I, m)
+    else:
+        raise FullnessError(f"unknown predicate {predicate!r}")
+    return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
+
+
+def _sample_witness(
+    I: IdealHandle, predicate: str, policy: GenericElementPolicy | None
+) -> PredicateResult:
+    """The first sampled x from the predicate's rng stream that passes the
+    test is the witness."""
+    holds = _equation(I, predicate)
     policy = policy or GenericElementPolicy()
-    ring = I.ring
-    Im = ideal_product(I, ring.maximal_ideal())
-    rng = policy.rng("m-full")
+    rng = policy.rng(predicate)
     for trial in range(1, policy.trials + 1):
-        x = sample_linear_form(ring, rng)
-        if ideal_equal_local(ideal_colon(Im, ring.ideal([x])), I):
+        x = sample_linear_form(I.ring, rng)
+        if holds(x):
             return PredicateResult(True, x, certified=True, trials_used=trial)
     return PredicateResult(False, None, certified=False, trials_used=policy.trials)
+
+
+def is_m_full(I: IdealHandle, policy: GenericElementPolicy | None = None) -> PredicateResult:
+    """Existential predicate: Im : x = I for a sampled x in m \\ m^2."""
+    return _sample_witness(I, "m-full", policy)
 
 
 def is_full(I: IdealHandle, policy: GenericElementPolicy | None = None) -> PredicateResult:
     """Existential predicate: I : x = I : m for a sampled x in m \\ m^2."""
-    _validate_proper(I)
-    policy = policy or GenericElementPolicy()
-    ring = I.ring
-    colon_m = ideal_colon(I, ring.maximal_ideal())
-    rng = policy.rng("full")
-    for trial in range(1, policy.trials + 1):
-        x = sample_linear_form(ring, rng)
-        if ideal_equal_local(ideal_colon(I, ring.ideal([x])), colon_m):
-            return PredicateResult(True, x, certified=True, trials_used=trial)
-    return PredicateResult(False, None, certified=False, trials_used=policy.trials)
+    return _sample_witness(I, "full", policy)
 
 
 def replay_witness(I: IdealHandle, predicate: str, witness: Polynomial) -> bool:
     """Re-verify a recorded witness exactly (no sampling)."""
-    _validate_proper(I)
-    ring = I.ring
-    if predicate == "m-full":
-        Im = ideal_product(I, ring.maximal_ideal())
-        return ideal_equal_local(ideal_colon(Im, ring.ideal([witness])), I)
-    if predicate == "full":
-        colon_m = ideal_colon(I, ring.maximal_ideal())
-        return ideal_equal_local(ideal_colon(I, ring.ideal([witness])), colon_m)
-    raise FullnessError(f"unknown predicate {predicate!r}")
+    return _equation(I, predicate)(witness)

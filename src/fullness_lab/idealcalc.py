@@ -178,17 +178,11 @@ class IdealHandle:
         """Basis elements that survive modulo the relations (nonzero in R)."""
         return [g for g in self.gb.basis if self.ring.reduce(g)]
 
-    def is_zero_local(self) -> bool:
-        return self.gb.basis == self.ring.gbJ.basis
-
     def contains_unit_local(self) -> bool:
         # C is the unit ideal locally iff C is not inside m, iff some reduced
         # basis element has a nonzero constant term.
         zero = self.ring.ambient.field.zero
         return any(g.constant_term != zero for g in self.gb.basis)
-
-    def is_proper_local(self) -> bool:
-        return not self.contains_unit_local()
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens) or "0"
@@ -371,5 +365,4 @@ def is_nonzerodivisor(f: Polynomial, ring: QuotientRing) -> bool:
     if not ring.relations:
         return True
     annihilator = IdealHandle._with_basis(ring, _colon_single(list(ring.gbJ.basis), f, ring.degree_cap))
-    zero = IdealHandle(ring, ())
-    return ideal_equal_local(annihilator, zero)
+    return ideal_equal_local(annihilator, ring.zero_ideal())

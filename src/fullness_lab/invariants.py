@@ -19,6 +19,7 @@ validate alpha, and reports carry explicit certification flags.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .fullness import (
@@ -265,19 +266,23 @@ class DaoReport:
         return self.flags.get("alpha_validated", False)
 
 
-def _i_m_power(I: IdealHandle, n: int, r: int, cache: dict) -> IdealHandle:
+def _i_m_power(I: IdealHandle, n: int, r: int) -> IdealHandle:
     """I * m^n as an ideal of the local ring, built incrementally, for a
     reduction I of m with reduction number r.
 
     m^(n+r+1) = m^n * I m^r lies in I m^n locally, so I m^n + m^(n+r+1) is
     the same local ideal; it is m-primary in P, which keeps the Groebner
     bases of everything computed from it small.  The inclusion is checked:
-    by Nakayama, m^N lies in K locally iff it lies in K + m^(N+1).
+    by Nakayama, m^N lies in K locally iff it lies in K + m^(N+1).  The
+    ring's memo keeps the ladder for the request, so `verify` extends the
+    ladder `dao_numbers` built.
     """
-    if n in cache:
-        return cache[n]
     ring = I.ring
-    K = I if n == 0 else ideal_product(_i_m_power(I, n - 1, r, cache), ring.maximal_ideal())
+    key = ("i-m-power", I.gb.basis, n, r)
+    cached = ring._op_cache.get(key)
+    if cached is not None:
+        return cached
+    K = I if n == 0 else ideal_product(_i_m_power(I, n - 1, r), ring.maximal_ideal())
     N = n + r + 1
     widened = IdealHandle(ring, list(K.gens) + list(ring.m_power(N + 1).gens))
     if not all(normal_form(g, widened.gb).is_zero() for g in ring.m_power(N).gens):
@@ -285,8 +290,29 @@ def _i_m_power(I: IdealHandle, n: int, r: int, cache: dict) -> IdealHandle:
             f"m^{N} is not inside I m^{n} locally although r = {r}; "
             "this indicates an engine bug"
         )
-    cache[n] = IdealHandle(ring, list(K.gens) + list(ring.m_power(N).gens))
-    return cache[n]
+    cached = ring._op_cache[key] = IdealHandle(ring, list(K.gens) + list(ring.m_power(N).gens))
+    return cached
+
+
+def _table_full(I: IdealHandle, n: int, r: int, policy: GenericElementPolicy) -> PredicateResult:
+    return is_full(_i_m_power(I, n, r), policy.derive(f"table:full:{n}"))
+
+
+def _table_rows(
+    I: IdealHandle, r: int, policy: GenericElementPolicy, ns: Iterable[int]
+) -> list[PredicateRow]:
+    """Predicate rows of the ideals I m^n for n in ns; each sampled entry
+    draws from its own `table:` seed, so a row is the same whichever call
+    builds it."""
+    return [
+        PredicateRow(
+            n=n,
+            m_full=is_m_full(_i_m_power(I, n, r), policy.derive(f"table:m-full:{n}")),
+            full=_table_full(I, n, r, policy),
+            weakly_m_full=is_weakly_m_full(_i_m_power(I, n, r)),
+        )
+        for n in ns
+    ]
 
 
 def dao_numbers(
@@ -319,8 +345,6 @@ def dao_numbers(
     alpha = max(r, s - 1)
     n1 = n3 = alpha
 
-    powers: dict[int, IdealHandle] = {}
-    table: list[PredicateRow] = []
     flags: dict = {
         "presentation": "algebraic-local",
         "seed": policy.seed,
@@ -329,15 +353,7 @@ def dao_numbers(
         "s_bound": bound,
         "rr_certified": False,
     }
-    for n in range(alpha + 2):
-        K = _i_m_power(I, n, r, powers)
-        row = PredicateRow(
-            n=n,
-            m_full=is_m_full(K, policy.derive(f"table:m-full:{n}")),
-            full=is_full(K, policy.derive(f"table:full:{n}")),
-            weakly_m_full=is_weakly_m_full(K),
-        )
-        table.append(row)
+    table = _table_rows(I, r, policy, range(alpha + 2))
 
     failing = [row.n for row in table if row.n <= alpha and not row.full.value]
     n2 = (failing[-1] + 1) if failing else 0
@@ -350,8 +366,7 @@ def dao_numbers(
     if alpha >= 1:
         alpha_ok = alpha_ok and not table[alpha - 1].weakly_m_full.value
     alpha_ok = alpha_ok and table[alpha].weakly_m_full.value
-    if alpha + 1 < len(table):
-        alpha_ok = alpha_ok and table[alpha + 1].weakly_m_full.value
+    alpha_ok = alpha_ok and table[alpha + 1].weakly_m_full.value
     flags["alpha_validated"] = alpha_ok
     if not alpha_ok:
         flags["warning"] = (
@@ -401,6 +416,11 @@ def verify_statements(
     """Instance-wise verification of the structural statements the engine
     relies on, evaluated on the given ring and reduction.
 
+    The checks read the index report of `dao_numbers`.  The equivalence
+    check extends its predicate table, with the same `table:` seeds, by the
+    row n = alpha + 2 and by fullness at alpha + 3; no predicate of a table
+    ideal is sampled twice.
+
     Statuses never claim a proof: existential predicates can fail only
     probabilistically, so mismatches involving an uncertified False are
     reported as DISCREPANCY-UNCERTIFIED rather than VIOLATION.
@@ -426,23 +446,20 @@ def verify_statements(
     )
 
     # Equivalence: I m^n is m-full  <=>  I m^{n+1} is full and I m^n weakly,
-    # scanned over n = 0 .. alpha + 2.
-    powers: dict[int, IdealHandle] = {}
-    scan_top = alpha + 3
+    # over n = 0 .. alpha + 2.  The index table is extended, with its own
+    # seeds, by the row alpha + 2 and by fullness at alpha + 3.
+    rows = (*report.predicate_table, *_table_rows(I, report.r, policy, [alpha + 2]))
+    full = [row.full for row in rows] + [_table_full(I, alpha + 3, report.r, policy)]
     mismatch_hard: list[int] = []
     mismatch_soft: list[int] = []
-    for n in range(scan_top):
-        K = _i_m_power(I, n, report.r, powers)
-        K1 = _i_m_power(I, n + 1, report.r, powers)
-        lhs = is_m_full(K, policy.derive(f"verify:m-full:{n}"))
-        full_next = is_full(K1, policy.derive(f"verify:full:{n + 1}"))
-        weakly = is_weakly_m_full(K)
-        rhs_value = full_next.value and weakly.value
+    for row in rows:
+        lhs, full_next = row.m_full, full[row.n + 1]
+        rhs_value = full_next.value and row.weakly_m_full.value
         if lhs.value != rhs_value:
             uncertified = (not lhs.value and not lhs.certified) or (
                 not full_next.value and not full_next.certified
             )
-            (mismatch_soft if uncertified else mismatch_hard).append(n)
+            (mismatch_soft if uncertified else mismatch_hard).append(row.n)
     status = "HOLDS"
     if mismatch_hard:
         status = "VIOLATION"
@@ -452,7 +469,7 @@ def verify_statements(
         StatementCheck(
             "full_next_and_weakly_iff_mfull",
             status,
-            f"checked n = 0..{scan_top - 1}"
+            f"checked n = 0..{alpha + 2}"
             + (f"; hard mismatches {mismatch_hard}" if mismatch_hard else "")
             + (f"; uncertified discrepancies {mismatch_soft}" if mismatch_soft else ""),
         )

@@ -1,6 +1,8 @@
 """Tests for reduction numbers, Ratliff-Rush chains, s-index, and the
 asymptotic indices."""
 
+import collections
+import functools
 import random
 import sys
 from pathlib import Path
@@ -33,12 +35,16 @@ P32 = PrimeField(32003)
 POLICY = GenericElementPolicy(trials=8, seed=1234)
 
 
+# One ring per presentation: the tests share its ring-level results (powers
+# of m, Ratliff-Rush records, depth witness) as one served process does.
+@functools.cache
 def ring_4_1(a=2, b=2, c=2):
     amb = PolyRing(["x", "y", "z", "t"], P32)
     rels = [f"x*y - t^{a+b}", f"x*z - t^{a+c} + z*t^{a}", f"y*z - y*t^{c} + z*t^{b}"]
     return QuotientRing(amb, [amb.parse(s) for s in rels])
 
 
+@functools.cache
 def ring_4_2():
     amb = PolyRing(["x", "y", "z"], P32)
     rels = ["y^3 - x*z", "x^4 - y*z", "x^3*y^2 - z^2"]
@@ -187,11 +193,10 @@ def test_table_ideals_are_truncated_by_a_checked_power_of_m():
 
     E = ring_4_2()
     I = E.parse_ideal(["x"])  # r = 3
-    cache: dict = {}
     for n in range(3):
-        assert ideal_equal_local(_i_m_power(I, n, 3, cache), times_m_power(I, n))
+        assert ideal_equal_local(_i_m_power(I, n, 3), times_m_power(I, n))
     with pytest.raises(InvariantError):
-        _i_m_power(I, 1, 0, {})
+        _i_m_power(I, 1, 0)
 
 
 def test_dao_semigroup_non_minimal_reduction():
@@ -327,3 +332,26 @@ def test_verify_statements_rational_singularity():
     assert by_name["n3_equals_reduction_number_conjecture"].status == "CONSISTENT"
     assert by_name["rees_regularity_bound"].status == "HOLDS"
     assert by_name["dim1_reduction_formula"].status == "SKIPPED"
+
+
+def test_verify_evaluates_each_predicate_once_per_ideal(monkeypatch):
+    # verify extends the index table of dao_numbers instead of sampling the
+    # table ideals I m^n again.
+    from fullness_lab import invariants
+
+    calls = []
+    for name in ("is_m_full", "is_full", "is_weakly_m_full"):
+        def record(K, *args, _name=name, _predicate=getattr(invariants, name)):
+            calls.append((_name, K.gb.basis))
+            return _predicate(K, *args)
+
+        monkeypatch.setattr(invariants, name, record)
+    E = ring_4_2()
+    rep, _ = verify_statements(E, E.parse_ideal(["x"]), POLICY)
+    assert len(calls) == len(set(calls))
+    # m-full and weak m-full at n = 0..alpha+2, fullness at n = 0..alpha+3
+    assert collections.Counter(name for name, _ in calls) == {
+        "is_m_full": rep.alpha + 3,
+        "is_full": rep.alpha + 4,
+        "is_weakly_m_full": rep.alpha + 3,
+    }
