@@ -43,7 +43,6 @@ from .idealcalc import (
     ideal_contains_local_ideal,
     ideal_equal_local,
     ideal_intersection,
-    ideal_power,
     ideal_product,
     is_nonzerodivisor,
     times_m_power,

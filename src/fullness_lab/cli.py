@@ -124,6 +124,10 @@ def _validate_options(options: dict):
                 isinstance(value, int) and not isinstance(value, bool),
                 f"options.{key} must be an integer, got {value!r}",
             )
+    _require(
+        options.get("trials", 1) >= 1,
+        f"options.trials must be at least 1, got {options.get('trials')!r}",
+    )
     for key, kind in TYPED_OPTIONS.items():
         if key in options:
             _require(

@@ -143,13 +143,12 @@ class _Reducers:
 
 
 class GroebnerBasis:
-    __slots__ = ("ring", "order", "basis", "reduced", "_reducers")
+    __slots__ = ("ring", "order", "basis", "_reducers")
 
-    def __init__(self, ring: PolyRing, basis: Sequence[Polynomial], reduced: bool = True):
+    def __init__(self, ring: PolyRing, basis: Sequence[Polynomial]):
         self.ring = ring
         self.order = ring.order
         self.basis = tuple(basis)
-        self.reduced = reduced
         self._reducers: _Reducers | None = None
 
     @property
@@ -230,7 +229,7 @@ def reduce_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> GroebnerBasis:
         Polynomial(ring, (g.terms[0],) + tuple(reducers.reduce(g.terms[1:])))
         for g in minimal
     ]
-    return GroebnerBasis(ring, reduced, reduced=True)
+    return GroebnerBasis(ring, reduced)
 
 
 def _update_pairs(
@@ -271,25 +270,17 @@ def _update_pairs(
 
 
 def buchberger(
-    generators: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
+    generators: Sequence[Polynomial], degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `generators`.
-
-    If `order` differs from the generators' ring order, computation happens
-    in a re-ordered copy of the ring.
-    """
-    gens = [g for g in generators]
+    """Reduced Groebner basis of the ideal generated by `generators`, in the
+    order of their ring."""
+    gens = list(generators)
     if not gens:
         raise PolyringError("buchberger: empty generator list")
     ring = gens[0].ring
     for g in gens:
         if g.ring is not ring:
             raise RingMismatchError("buchberger: generators from different rings")
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [ring.from_dict(g.as_dict()) for g in gens]
 
     # Seed the working basis by sequential reduction; unlike lead-term
     # minimalization this never changes the generated ideal.
@@ -301,7 +292,7 @@ def buchberger(
             basis.append(r.monic())
             reducers.add(basis[-1])
     if not basis:
-        return GroebnerBasis(ring, (), reduced=True)
+        return GroebnerBasis(ring, ())
 
     # Reduction runs against the active elements only; an element whose
     # lead a later lead divides drops out of both the pairs and the reducers.

@@ -46,9 +46,9 @@ class QuotientRing:
     """Presentation of the local ring (P/J) localized at m = (variables).
 
     The ring owns everything computed from its presentation alone: the
-    basis of J, the powers of m, and the depth witness and Ratliff-Rush
-    records of m-powers that `invariants` stores here.  Every Groebner run
-    on its ideals honours its degree cap.
+    zero ideal, whose basis is that of J, the powers of m, and the depth
+    witness and Ratliff-Rush records of m-powers that `invariants` stores
+    here.  Every Groebner run on its ideals honours its degree cap.
     """
 
     def __init__(
@@ -72,7 +72,7 @@ class QuotientRing:
                 )
             rels.append(f)
         self.relations = tuple(rels)
-        self._gbJ: GroebnerBasis | None = None
+        self._zero = IdealHandle(self, ())
         self._m_powers: dict[int, IdealHandle] = {}
         self.regular_form: Polynomial | None = None
         self.rr_records: dict = {}
@@ -87,12 +87,7 @@ class QuotientRing:
 
     @property
     def gbJ(self) -> GroebnerBasis:
-        if self._gbJ is None:
-            if self.relations:
-                self._gbJ = buchberger(self.relations, degree_cap=self.degree_cap)
-            else:
-                self._gbJ = GroebnerBasis(self.ambient, (), reduced=True)
-        return self._gbJ
+        return self._zero.gb
 
     def ideal(self, gens: Sequence[Polynomial]) -> "IdealHandle":
         return IdealHandle(self, gens)
@@ -101,7 +96,7 @@ class QuotientRing:
         return IdealHandle(self, [self.ambient.parse(s) for s in gens])
 
     def zero_ideal(self) -> "IdealHandle":
-        return IdealHandle(self, ())
+        return self._zero
 
     def maximal_ideal(self) -> "IdealHandle":
         return self.m_power(1)
@@ -171,7 +166,7 @@ class IdealHandle:
             if gens:
                 self._gb = buchberger(gens, degree_cap=self.ring.degree_cap)
             else:
-                self._gb = GroebnerBasis(self.ring.ambient, (), reduced=True)
+                self._gb = GroebnerBasis(self.ring.ambient, ())
         return self._gb
 
     def effective_gens(self) -> list[Polynomial]:
@@ -205,18 +200,6 @@ def ideal_product(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     gens_b = B.effective_gens() or list(B.gens)
     result = IdealHandle(A.ring, [a * b for a in gens_a for b in gens_b])
     A.ring._op_cache[key] = result
-    return result
-
-
-def ideal_power(A: IdealHandle, n: int) -> IdealHandle:
-    """n-fold ideal product; n = 0 yields the unit ideal (internal use)."""
-    if n < 0:
-        raise IdealcalcError("negative ideal power")
-    if n == 0:
-        return A.ring.m_power(0)
-    result = A
-    for _ in range(n - 1):
-        result = ideal_product(result, A)
     return result
 
 
@@ -324,9 +307,6 @@ def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
     if f.ring is not B.ring.ambient:
         raise RingMismatchError("element from a different ring")
     if normal_form(f, B.gb).is_zero():
-        return True
-    fbar = B.ring.reduce(f)
-    if fbar.is_zero():
         return True
     key = ("contains", B.gb.basis, f)
     cached = B.ring._op_cache.get(key)

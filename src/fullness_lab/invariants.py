@@ -37,7 +37,6 @@ from .idealcalc import (
     ideal_colon,
     ideal_contains_local_ideal,
     ideal_equal_local,
-    ideal_power,
     ideal_product,
     is_nonzerodivisor,
 )
@@ -96,12 +95,26 @@ class ReductionCertificate:
     checked_up_to: int
 
 
+def _contains_m_power(K: IdealHandle, k: int) -> bool:
+    """Does m^k lie in K in P?  Checked by normal forms of the degree-k
+    monomials.
+
+    Callers pass an ideal that contains a power of m, so it is m-primary
+    and the answer is the same in the local ring.  By Nakayama, m^k lies in
+    an ideal A locally iff it lies in A + m^(k+1), which is how a question
+    about an arbitrary A becomes one about such an ideal.
+    """
+    return all(normal_form(g, K.gb).is_zero() for g in K.ring.m_power(k).gens)
+
+
 def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> ReductionCertificate:
     """Least r with I m^r = m^{r+1} locally.
 
-    Once the equality holds at r it holds at every larger power (multiply by
-    m), so the returned certificate is exact; stability at r+1 is verified
-    explicitly as a sanity check.
+    Since I lies in m, the equality at k says m^(k+1) lies in I m^k, which
+    is decided on the truncated ladder T_k = I m^k + m^(k+2) (T_0 = I + m^2,
+    T_(k+1) = T_k m).  Once the equality holds at r it holds at every larger
+    power (multiply by m), so the returned certificate is exact; stability
+    at r+1 is verified explicitly as a sanity check.
     """
     ring = I.ring
     for g in I.gens:
@@ -109,17 +122,17 @@ def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> Reduct
             raise NotAReductionError("ideal is not contained in the maximal ideal")
     if not any(ring.reduce(g) for g in I.gens):
         raise NotAReductionError("the zero ideal is not a reduction of m")
-    current = I  # I * m^k
+    truncated = IdealHandle(ring, list(I.gens) + list(ring.m_power(2).gens))
     for k in range(max_iter + 1):
-        if ideal_equal_local(current, ring.m_power(k + 1)):
-            nxt = ideal_product(current, ring.maximal_ideal())
-            if not ideal_equal_local(nxt, ring.m_power(k + 2)):
+        nxt = ideal_product(truncated, ring.maximal_ideal())
+        if _contains_m_power(truncated, k + 1):
+            if not _contains_m_power(nxt, k + 2):
                 raise InvariantError(
                     "reduction equality did not propagate to the next power; "
                     "this indicates an engine bug"
                 )
             return ReductionCertificate(I, k, checked_up_to=k + 1)
-        current = ideal_product(current, ring.maximal_ideal())
+        truncated = nxt
     raise NotAReductionError(
         f"not detected as reduction within max_iter = {max_iter}"
     )
@@ -127,7 +140,7 @@ def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> Reduct
 
 @dataclass(frozen=True)
 class RRChainRecord:
-    """The ascending chain B^{n+j} : B^j with its stabilization evidence."""
+    """The ascending chain m^{n+j} : m^j with its stabilization evidence."""
 
     n: int
     chain: tuple[IdealHandle, ...]
@@ -135,7 +148,6 @@ class RRChainRecord:
     window: int
     certified: bool
     stabilized_at: int
-    base_is_maximal: bool = True
 
 
 def ratliff_rush_power(
@@ -144,10 +156,9 @@ def ratliff_rush_power(
     window: int = DEFAULT_RR_WINDOW,
     j_cap: int = DEFAULT_RR_JCAP,
     policy: GenericElementPolicy | None = None,
-    base: IdealHandle | None = None,
 ) -> RRChainRecord:
-    """Candidate Ratliff-Rush closure of m^n (or of base^n) as the stable
-    value of the ascending colon chain.
+    """Candidate Ratliff-Rush closure of m^n as the stable value of the
+    ascending colon chain.
 
     The chain is provably increasing; that is asserted at every step.  A run
     of `window` equal consecutive terms stops the scan, but since colon
@@ -159,24 +170,18 @@ def ratliff_rush_power(
     if window < 2:
         raise InvariantError("stabilization window must be at least 2")
     depth_witness(ring, policy)
-    # For base ideals other than m the caller is responsible for the base
-    # containing a regular element (automatic for m-primary bases here).
-    base_is_m = base is None
-    if base_is_m and (n, window, j_cap) in ring.rr_records:
+    if (n, window, j_cap) in ring.rr_records:
         return ring.rr_records[(n, window, j_cap)]
     chain: list[IdealHandle] = []
     matches = 1
     j = 0
     while j < j_cap:
         j += 1
-        if base_is_m:
-            # m^(n+j) : m^j as j colons by m; the memo shares the steps
-            # between chains.
-            term = ring.m_power(n + j)
-            for _ in range(j):
-                term = ideal_colon(term, ring.maximal_ideal())
-        else:
-            term = ideal_colon(ideal_power(base, n + j), ideal_power(base, j))
+        # m^(n+j) : m^j as j colons by m; the memo shares the steps between
+        # chains.
+        term = ring.m_power(n + j)
+        for _ in range(j):
+            term = ideal_colon(term, ring.maximal_ideal())
         if chain:
             if not ideal_contains_local_ideal(term, chain[-1]):
                 raise InvariantError(
@@ -195,10 +200,8 @@ def ratliff_rush_power(
                 window=window,
                 certified=False,
                 stabilized_at=j - window + 1,
-                base_is_maximal=base_is_m,
             )
-            if base_is_m:
-                ring.rr_records[(n, window, j_cap)] = record
+            ring.rr_records[(n, window, j_cap)] = record
             return record
     raise ChainCapExceeded(
         f"colon chain for power {n} showed no window of {window} equal terms "
@@ -272,8 +275,8 @@ def _i_m_power(I: IdealHandle, n: int, r: int) -> IdealHandle:
 
     m^(n+r+1) = m^n * I m^r lies in I m^n locally, so I m^n + m^(n+r+1) is
     the same local ideal; it is m-primary in P, which keeps the Groebner
-    bases of everything computed from it small.  The inclusion is checked:
-    by Nakayama, m^N lies in K locally iff it lies in K + m^(N+1).  The
+    bases of everything computed from it small.  The inclusion is checked
+    on K + m^(N+1), which then equals K + m^N and is kept as the rung.  The
     ring's memo keeps the ladder for the request, so `verify` extends the
     ladder `dao_numbers` built.
     """
@@ -285,12 +288,12 @@ def _i_m_power(I: IdealHandle, n: int, r: int) -> IdealHandle:
     K = I if n == 0 else ideal_product(_i_m_power(I, n - 1, r), ring.maximal_ideal())
     N = n + r + 1
     widened = IdealHandle(ring, list(K.gens) + list(ring.m_power(N + 1).gens))
-    if not all(normal_form(g, widened.gb).is_zero() for g in ring.m_power(N).gens):
+    if not _contains_m_power(widened, N):
         raise InvariantError(
             f"m^{N} is not inside I m^{n} locally although r = {r}; "
             "this indicates an engine bug"
         )
-    cached = ring._op_cache[key] = IdealHandle(ring, list(K.gens) + list(ring.m_power(N).gens))
+    cached = ring._op_cache[key] = IdealHandle._with_basis(ring, widened.gb)
     return cached
 
 
@@ -323,7 +326,6 @@ def dao_numbers(
     rr_window: int = DEFAULT_RR_WINDOW,
     rr_j_cap: int = DEFAULT_RR_JCAP,
     s_bound: int | None = None,
-    s_safety: int = DEFAULT_S_SAFETY,
     known_reg: int | None = None,
 ) -> DaoReport:
     """The indices n1, n2, n3 for a verified reduction I of m.
@@ -339,7 +341,7 @@ def dao_numbers(
     depth_witness(ring, policy)
     cert = reduction_number(I, max_iter=max_iter)
     r = cert.r
-    bound = s_bound if s_bound is not None else max(r + s_safety, DEFAULT_S_BOUND_FLOOR)
+    bound = s_bound if s_bound is not None else max(r + DEFAULT_S_SAFETY, DEFAULT_S_BOUND_FLOOR)
     s_result = s_index(ring, bound, window=rr_window, j_cap=rr_j_cap, policy=policy)
     s = s_result.s
     alpha = max(r, s - 1)

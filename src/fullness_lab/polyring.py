@@ -680,11 +680,16 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
+    # Each level of parentheses costs four Python frames; the cap keeps
+    # hostile input far from the interpreter's recursion limit.
+    MAX_NESTING = 100
+
     def __init__(self, src: str, ring: PolyRing):
         self.src = src
         self.ring = ring
         self.tokens = _tokenize(src)
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -761,7 +766,11 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok.value!r}", tok.pos)
             return self.ring.gen(tok.value)
         if tok.kind == "(":
+            if self.nesting == self.MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {self.MAX_NESTING}", tok.pos)
+            self.nesting += 1
             poly = self.expression()
+            self.nesting -= 1
             self.expect(")")
             return poly
         raise ParseError(f"unexpected {self._describe(tok)}", tok.pos)
@@ -771,8 +780,9 @@ def parse_polynomial(src: str, ring: PolyRing) -> Polynomial:
     """Parse polynomial text into normalized form.
 
     Grammar: integers (optionally ``a/b`` rationals), ring variables,
-    ``+ - * ^`` and parentheses; ``^`` takes a non-negative integer
-    literal; multiplication is always explicit.
+    ``+ - * ^`` and parentheses, nested at most ``_Parser.MAX_NESTING``
+    deep; ``^`` takes a non-negative integer literal; multiplication is
+    always explicit.
     """
     return _Parser(src, ring).parse()
 

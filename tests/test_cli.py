@@ -156,12 +156,28 @@ def test_input_error_paths(tmp_path):
         ("ideal", ["m"]),
         ("colon_a", ["A"]),
         ("colon_b", 1),
+        ("trials", 0),
+        ("trials", -3),
     ]:
-        wrong = tmp_path / f"wrong_{option}.json"
+        wrong = tmp_path / f"wrong_{option}_{value}.json"
         wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))
         assert cli.main(["dao", "--input", str(wrong)]) == 1, option
         with pytest.raises(cli.InputError):
             cli.run(base, {"task": "dao", option: value})
+
+
+def test_deep_parentheses_are_an_input_error(tmp_path):
+    deep = "(" * 250 + "x" + ")" * 250
+    base = corpus.load("regular_2d")
+    for problem in (
+        dict(base, ideals={"I": [deep, "y"]}, options={**base["options"], "ideal": "I"}),
+        dict(base, ring={**base["ring"], "relations": [deep + "^2"]}),
+    ):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(problem))
+        assert cli.main(["dao", "--input", str(path)]) == 1
+        with pytest.raises(cli.InputError):
+            cli.run(problem)
 
 
 def test_verify_honors_max_iter():

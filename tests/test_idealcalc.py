@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
+from fullness_lab.groebner import buchberger
 from fullness_lab.idealcalc import (
     IdealcalcError,
     QuotientRing,
@@ -17,7 +18,6 @@ from fullness_lab.idealcalc import (
     ideal_contains_local_ideal,
     ideal_equal_local,
     ideal_intersection,
-    ideal_power,
     ideal_product,
     is_nonzerodivisor,
     times_m_power,
@@ -44,6 +44,15 @@ def test_quotient_ring_rejects_constant_terms():
     amb = PolyRing(["x", "y"], P32)
     with pytest.raises(IdealcalcError):
         QuotientRing(amb, [amb.parse("x*y - 1")])
+
+
+def test_zero_ideal_is_the_one_handle_on_the_relations():
+    E = ring_4_2()
+    zero = E.zero_ideal()
+    assert zero is E.zero_ideal()
+    assert E.gbJ is zero.gb
+    assert zero.gb.basis == buchberger(list(E.relations)).basis
+    assert REG2.zero_ideal().gb.basis == ()
 
 
 def test_m_power_generators():
@@ -82,8 +91,22 @@ def test_square_contained_in_reduction():
 
 def test_power_bootstrapping():
     I = REG2.parse_ideal(["x", "y"])
-    assert ideal_power(I, 0).contains_unit_local()
-    assert ideal_equal_local(ideal_power(I, 3), REG2.m_power(3))
+    assert ideal_equal_local(ideal_product(ideal_product(I, I), I), REG2.m_power(3))
+
+
+def test_parameter_ideal_power_colons_match_oracle():
+    # Powers of Q = (x^2, y^2) are integrally closed in K[x,y], so
+    # Q^(2+j) : Q^j = Q^2; each colon is checked against closed-form
+    # monomial arithmetic.
+    Q = ((2, 0), (0, 2))
+    powers = [REG2.m_power(0), REG2.ideal([REG2.ambient.monomial(m) for m in Q])]
+    while len(powers) < 9:
+        powers.append(ideal_product(powers[-1], powers[1]))
+    for j in range(1, 7):
+        want = oracles.mono_colon(oracles.mono_power(Q, 2 + j), oracles.mono_power(Q, j))
+        assert want == oracles.mono_power(Q, 2)
+        expected = REG2.ideal([REG2.ambient.monomial(m) for m in want])
+        assert ideal_colon(powers[2 + j], powers[j]).gb.basis == expected.gb.basis, j
 
 
 @pytest.mark.parametrize(
@@ -244,8 +267,6 @@ def test_colon_and_intersection_bases_match_a_fresh_completion():
     # Colons and intersections keep the reduced basis their elimination
     # produced; it must be the one a fresh Groebner run of the generators
     # and the relations gives.
-    from fullness_lab.groebner import buchberger
-
     rng = random.Random(5)
     for ring in (ring_4_2(), ring_4_1(), REG2):
         amb = ring.ambient

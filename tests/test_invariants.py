@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
 from fullness_lab.fullness import GenericElementPolicy, is_full, is_m_full, is_weakly_m_full
+from fullness_lab.groebner import normal_form
 from fullness_lab.idealcalc import (
     QuotientRing,
     ideal_equal_local,
@@ -80,6 +81,56 @@ def test_non_reduction_detected():
         reduction_number(REG2.parse_ideal(["x"]), max_iter=6)
     with pytest.raises(NotAReductionError):
         reduction_number(REG2.parse_ideal(["x + 1"]))  # not inside m
+    for E in (REG2, ring_4_2()):
+        with pytest.raises(NotAReductionError):
+            reduction_number(E.parse_ideal(["x^2"]), max_iter=6)
+
+
+def _least_k_with_local_equality(I):
+    """The reduction number by its definition, with local equality tests on
+    the untruncated ideals I m^k."""
+    for k in range(10):
+        if ideal_equal_local(times_m_power(I, k), I.ring.m_power(k + 1)):
+            return k
+    raise AssertionError("no reduction within k < 10")
+
+
+@pytest.mark.parametrize(
+    "ring, gens, r",
+    [
+        # (x + x^2, y) also vanishes at (-1, 0), away from the origin.
+        (lambda: REG2, ["x + x^2", "y"], 0),
+        (ring_4_2, ["x"], 3),
+        (ring_4_2, ["x", "y"], 1),
+        # Non-general: the x/y minor vanishes mod 32003, so the ideal holds z.
+        (ring_4_2, ["11640*x + 30444*y + 1554*z", "14143*x + 30161*y + 15051*z"], 3),
+        (ring_4_1, ["x + y + z", "t"], 1),
+    ],
+)
+def test_reduction_number_matches_local_equality(ring, gens, r):
+    I = ring().parse_ideal(gens)
+    assert reduction_number(I).r == _least_k_with_local_equality(I) == r
+
+
+def test_reduction_number_decides_on_ideals_that_contain_a_power_of_m(monkeypatch):
+    from fullness_lab import invariants
+
+    for name in ("ideal_equal_local", "ideal_contains_local_ideal"):
+        monkeypatch.setattr(invariants, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+    seen = []
+
+    def record(K, k, _original=invariants._contains_m_power):
+        seen.append((K, k))
+        return _original(K, k)
+
+    monkeypatch.setattr(invariants, "_contains_m_power", record)
+    E = ring_4_2()
+    assert reduction_number(E.parse_ideal(["x"])).r == 3
+    # T_k = I m^k + m^(k+2) is asked about m^(k+1), and at the end T_(r+1)
+    # about m^(r+2).
+    assert [k for _, k in seen] == [1, 2, 3, 4, 5]
+    for K, k in seen:
+        assert all(normal_form(g, K.gb).is_zero() for g in E.m_power(k + 1).gens)
 
 
 # -- Ratliff-Rush chains -----------------------------------------------------
@@ -103,21 +154,6 @@ def test_rr_closed_in_regular_ring():
     for n in (1, 2, 4):
         record = ratliff_rush_power(REG2, n, policy=POLICY)
         assert ideal_equal_local(record.stable_value, REG2.m_power(n))
-
-
-def test_rr_general_base_parameter_ideal():
-    # Powers of (x^2, y^2) are integrally closed in K[x,y]; the colon chain
-    # must sit constantly at the power itself.  The oracle recomputes each
-    # chain term with closed-form monomial arithmetic.
-    Q = ((2, 0), (0, 2))
-    base = REG2.ideal([REG2.ambient.monomial(m) for m in Q])
-    record = ratliff_rush_power(REG2, 2, window=3, policy=POLICY, base=base)
-    q2 = oracles.mono_power(Q, 2)
-    expected = REG2.ideal([REG2.ambient.monomial(m) for m in q2])
-    assert ideal_equal_local(record.stable_value, expected)
-    for j in range(1, 7):
-        oracle_term = oracles.mono_colon(oracles.mono_power(Q, 2 + j), oracles.mono_power(Q, j))
-        assert oracle_term == q2
 
 
 def test_rr_window_validation():
@@ -197,6 +233,19 @@ def test_table_ideals_are_truncated_by_a_checked_power_of_m():
         assert ideal_equal_local(_i_m_power(I, n, 3), times_m_power(I, n))
     with pytest.raises(InvariantError):
         _i_m_power(I, 1, 0)
+
+
+def test_table_rungs_keep_the_basis_of_the_truncated_ideal():
+    from fullness_lab.invariants import _i_m_power
+
+    for E, gens, r in ((ring_4_2(), ["x"], 3), (ring_4_1(), ["x + y + z", "t"], 1)):
+        I = E.parse_ideal(gens)
+        for n in range(4):
+            rung = _i_m_power(I, n, r)
+            direct = E.ideal(list(times_m_power(I, n).gens) + list(E.m_power(n + r + 1).gens))
+            assert rung.gb.basis == direct.gb.basis, (gens, n)
+            # The rung is a handle on its reduced basis alone.
+            assert rung.gens == rung.gb.basis
 
 
 def test_dao_semigroup_non_minimal_reduction():

@@ -83,6 +83,14 @@ def test_parse_characteristic_mismatch():
     assert parse_polynomial("1/2*x", RQ).lead_coeff == Fraction(1, 2)
 
 
+def test_parse_caps_parenthesis_nesting():
+    # Deep nesting is a syntax error with a position, not a RecursionError.
+    assert parse_polynomial("(" * 100 + "x" + ")" * 100, R4) == parse_polynomial("x", R4)
+    with pytest.raises(ParseError) as e:
+        parse_polynomial("(" * 250 + "x" + ")" * 250, R4)
+    assert "position 100" in str(e.value)
+
+
 def test_implicit_multiplication_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("x y", R4)
