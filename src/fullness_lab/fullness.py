@@ -8,9 +8,10 @@ An ideal I of the local ring (R, m) is
 
 The first two are existential over a *general* element; the infinite
 residue field of the source setting is modeled over F_p by sampling random
-linear forms.  Positive answers are exact (the witness is re-verified by the
-colon computation itself); negative answers after a finite number of trials
-are probabilistic and reported with ``certified=False``.
+linear forms.  Positive answers are exact: the witness is re-verified by the
+rank of multiplication by it on R/N when N contains a power of m, and by
+the colon computation itself otherwise.  Negative answers after a finite
+number of trials are probabilistic and reported with ``certified=False``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .idealcalc import (
     ideal_equal_local,
     ideal_product,
 )
-from .polyring import Polynomial, PolyringError
+from .polyring import Monomial, Polynomial, PolyringError
 
 DEFAULT_TRIALS = 5
 DEFAULT_SEED = 20260808
@@ -45,6 +46,10 @@ class GenericElementPolicy:
 
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+            raise FullnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
 
     def rng(self, label: str) -> random.Random:
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
@@ -107,8 +112,69 @@ def is_weakly_m_full(I: IdealHandle) -> PredicateResult:
     return PredicateResult(value, None, certified=True, trials_used=0)
 
 
+def _standard_monomials(N: IdealHandle) -> dict[Monomial, int] | None:
+    """The standard monomials of N.gb, numbered, or None unless P/N = R/N.
+
+    That holds exactly when N.gb has finitely many standard monomials (a
+    pure power of each variable is a lead) and every variable is nilpotent
+    on P/N, so that N contains a power of m.  The normal forms of x_i * u
+    for standard u list them all.
+    """
+    amb = N.ring.ambient
+    leads = [g.lead_monomial for g in N.gb.basis]
+    if len({m.index(max(m)) for m in leads if max(m) == sum(m) > 0}) < amb.nvars:
+        return None
+    std = [amb.one().lead_monomial]
+    index = {std[0]: 0}
+    for u in std:  # std grows while it is read, until closed under the x_i
+        for x in amb.gens():
+            for v, _ in normal_form(x * amb.monomial(u), N.gb).terms:
+                if v not in index:
+                    index[v] = len(std)
+                    std.append(v)
+    # x is nilpotent on P/N iff x^λ lies in N, λ = len(std).
+    for x in amb.gens():
+        power = amb.one()
+        for _ in std:
+            power = normal_form(x * power, N.gb)
+            if not power:
+                break
+        else:
+            return None
+    return index
+
+
+def _rank(rows: list[dict], field) -> int:
+    """Rank of sparse rows, by elimination on each row's largest column."""
+    p, pivots = field.characteristic, {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = field.inv(row[col])
+                pivots[col] = {k: field.mul(c, inv) for k, c in row.items()}
+                break
+            c = row[col]
+            for k, b in pivot.items():
+                s = row.get(k, 0) - c * b
+                if p:
+                    s %= p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    return len(pivots)
+
+
 def _equation(I: IdealHandle, predicate: str):
-    """The test of one x in m \\ m^2 that witnesses `predicate` for I."""
+    """The test of one x in m \\ m^2 that witnesses `predicate` for I.
+
+    T lies in N : x, so the test is N : x = T.  When N contains a power of
+    m, R/N is finite-dimensional and length(R/(N : x)) is the rank of x on
+    R/N, so the test is that rank against length(R/T); otherwise it is the
+    Groebner colon.
+    """
     _validate_proper(I)
     m = I.ring.maximal_ideal()
     if predicate == "m-full":  # Im : x = I
@@ -117,7 +183,19 @@ def _equation(I: IdealHandle, predicate: str):
         N, T = I, ideal_colon(I, m)
     else:
         raise FullnessError(f"unknown predicate {predicate!r}")
-    return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
+    index = _standard_monomials(N)
+    if index is None:
+        return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
+    amb = I.ring.ambient
+    # N lies in T, so T's standard monomials are those of N no lead of T divides.
+    leads = [g.lead_monomial for g in T.gb.basis]
+    length = sum(1 for u in index if not any(t.divides(u) for t in leads))
+
+    def holds(x: Polynomial) -> bool:
+        images = (normal_form(x * amb.monomial(u), N.gb).terms for u in index)
+        return _rank([{index[v]: c for v, c in f} for f in images], amb.field) == length
+
+    return holds
 
 
 def _sample_witness(

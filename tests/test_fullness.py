@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
+from fullness_lab import cli, corpus, fullness
 from fullness_lab.fullness import (
     FullnessError,
     GenericElementPolicy,
@@ -18,12 +19,19 @@ from fullness_lab.fullness import (
     replay_witness,
     sample_linear_form,
 )
-from fullness_lab.idealcalc import QuotientRing, times_m_power
+from fullness_lab.idealcalc import (
+    QuotientRing,
+    ideal_colon,
+    ideal_equal_local,
+    ideal_product,
+    times_m_power,
+)
 from fullness_lab.polyring import PolyRing, PrimeField
 
 P32 = PrimeField(32003)
 REG2 = QuotientRing(PolyRing(["x", "y"], P32))
 POLICY = GenericElementPolicy(trials=8, seed=4242)
+FAST_CORPUS = [e["name"] for e in corpus.listing() if not e["slow"]]
 
 
 def ring_4_1():
@@ -157,3 +165,84 @@ def test_degenerate_ideals_rejected():
     Q = QuotientRing(amb, [amb.parse("x*y")])
     with pytest.raises(FullnessError):
         is_weakly_m_full(Q.parse_ideal(["x*y"]))
+
+
+@pytest.mark.parametrize("trials", [0, -3, True, 2.5, "5"])
+def test_policy_rejects_trials_that_are_not_a_positive_integer(trials):
+    # With no trial a scan reads every row as "not full": on regular_2d,
+    # trials=0 used to give n2 = 1 > alpha = 0.
+    with pytest.raises(FullnessError):
+        GenericElementPolicy(trials=trials)
+
+
+def _sampled_predicates(problem: dict) -> list:
+    """(ideal, predicate, sampled x's) for every sampled predicate that a
+    `dao` request on `problem` evaluates."""
+    calls = []
+    equation = fullness._equation
+
+    def recording(I, predicate):
+        holds, xs = equation(I, predicate), []
+        calls.append((I, predicate, xs))
+
+        def spy(x):
+            xs.append(x)
+            return holds(x)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fullness, "_equation", recording)
+        cli.run(problem, {"task": "dao"})
+    return calls
+
+
+def test_rank_verdict_matches_the_groebner_colon():
+    cases = [(name, 32003) for name in FAST_CORPUS]
+    cases += [(name, 0) for name in ("regular_2d", "example_4_2_I", "example_4_2_L")]
+    verdicts = set()
+    for name, characteristic in cases:
+        problem = corpus.load(name)
+        problem["ring"]["characteristic"] = characteristic
+        for I, predicate, xs in _sampled_predicates(problem):
+            ring, m = I.ring, I.ring.maximal_ideal()
+            N, T = (ideal_product(I, m), I) if predicate == "m-full" else (I, ideal_colon(I, m))
+            assert fullness._standard_monomials(N) is not None, (name, predicate)
+            by_rank = fullness._equation(I, predicate)
+            for x in xs + ring.ambient.gens():
+                verdict = by_rank(x)
+                assert verdict == ideal_equal_local(ideal_colon(N, ring.ideal([x])), T), (
+                    name, characteristic, predicate, str(x),
+                )
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", FAST_CORPUS)
+def test_table_predicates_never_colon_by_one_element(name, monkeypatch):
+    # Every table rung contains a power of m in P, the example_4_2 rungs
+    # too although their relations are not homogeneous, so no sampled
+    # trial falls back to the Groebner colon N : (x).
+    divisors = []
+    colon = fullness.ideal_colon
+
+    def recording(A, B):
+        divisors.append(len(B.gens))
+        return colon(A, B)
+
+    monkeypatch.setattr(fullness, "ideal_colon", recording)
+    cli.run(corpus.load(name), {"task": "dao"})
+    assert divisors and 1 not in divisors
+
+
+def test_replay_checks_that_a_power_of_m_lies_in_the_ideal():
+    # (x^2 - x, y) is (x, y) in the local ring, but P/(x^2 - x, y) also has
+    # the point (1, 0), where x is not nilpotent; a rank on P/N would count
+    # it and call y no witness.
+    I = REG2.parse_ideal(["x^2 - x", "y"])
+    assert fullness._standard_monomials(ideal_product(I, REG2.maximal_ideal())) is None
+    assert fullness._standard_monomials(I) is None
+    assert fullness._standard_monomials(REG2.parse_ideal(["x + y^2"])) is None
+    y = REG2.ambient.parse("y")
+    assert replay_witness(I, "m-full", y)
+    assert replay_witness(I, "full", y)
