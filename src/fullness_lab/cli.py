@@ -40,10 +40,12 @@ from .polyring import ParseError, PolyRing, PolyringError, PrimeField, QQ
 
 SCHEMA_VERSION = 1
 TASKS = ("gb", "colon", "rr", "rednum", "dao", "verify")
-INT_OPTIONS = (
-    "trials", "seed", "rr_window", "rr_j_cap", "s_bound", "max_iter",
-    "known_reg", "degree_cap", "rr_n", "assert_dim",
-)
+# Integer options and their least meaningful values (None: any integer); a
+# smaller value is an input error, not a failed computation.
+INT_OPTIONS = {
+    "trials": 1, "seed": None, "rr_window": 2, "rr_j_cap": 1, "s_bound": 1, "max_iter": 0,
+    "known_reg": None, "degree_cap": 1, "rr_n": 1, "assert_dim": None,
+}
 TYPED_OPTIONS = {"assert_minimal": bool, "ideal": str, "colon_a": str, "colon_b": str}
 DEFAULT_TIME_BUDGET = 1800.0
 # Rings of the most recent presentations served in this process, with their
@@ -117,17 +119,17 @@ def validate_problem(problem: dict):
 
 def _validate_options(options: dict):
     _require(isinstance(options, dict), "'options' must be an object")
-    for key in INT_OPTIONS:
+    for key, least in INT_OPTIONS.items():
         if key in options:
             value = options[key]
             _require(
                 isinstance(value, int) and not isinstance(value, bool),
                 f"options.{key} must be an integer, got {value!r}",
             )
-    _require(
-        options.get("trials", 1) >= 1,
-        f"options.trials must be at least 1, got {options.get('trials')!r}",
-    )
+            _require(
+                least is None or value >= least,
+                f"options.{key} must be at least {least}, got {value!r}",
+            )
     for key, kind in TYPED_OPTIONS.items():
         if key in options:
             _require(

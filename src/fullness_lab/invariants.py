@@ -107,14 +107,31 @@ def _contains_m_power(K: IdealHandle, k: int) -> bool:
     return all(normal_form(g, K.gb).is_zero() for g in K.ring.m_power(k).gens)
 
 
+def _ladder(I: IdealHandle, n: int, c: int) -> IdealHandle:
+    """The rung I m^n + m^(n+c) of I's truncated ladder: rung 0 is I + m^c
+    and rung n is rung n-1 times m, the product m-fullness takes of it.
+    Rungs contain a power of m, so their bases stay small.  The ring's memo
+    keeps them for the request: `reduction_number` (c = 2), the table
+    (c = r + 1) and `verify` share them."""
+    ring = I.ring
+    key = ("ladder", I.gb.basis, n, c)
+    rung = ring._op_cache.get(key)
+    if rung is None:
+        if n == 0:
+            rung = IdealHandle(ring, list(I.gens) + list(ring.m_power(c).gens))
+        else:
+            rung = ideal_product(_ladder(I, n - 1, c), ring.maximal_ideal())
+        ring._op_cache[key] = rung
+    return rung
+
+
 def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> ReductionCertificate:
     """Least r with I m^r = m^{r+1} locally.
 
     Since I lies in m, the equality at k says m^(k+1) lies in I m^k, which
-    is decided on the truncated ladder T_k = I m^k + m^(k+2) (T_0 = I + m^2,
-    T_(k+1) = T_k m).  Once the equality holds at r it holds at every larger
-    power (multiply by m), so the returned certificate is exact; stability
-    at r+1 is verified explicitly as a sanity check.
+    `_contains_m_power` decides on the rung I m^k + m^(k+2).  It then holds
+    at every larger power (multiply by m), so the certificate is exact;
+    stability at r+1 is verified explicitly as a sanity check.
     """
     ring = I.ring
     for g in I.gens:
@@ -122,17 +139,14 @@ def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> Reduct
             raise NotAReductionError("ideal is not contained in the maximal ideal")
     if not any(ring.reduce(g) for g in I.gens):
         raise NotAReductionError("the zero ideal is not a reduction of m")
-    truncated = IdealHandle(ring, list(I.gens) + list(ring.m_power(2).gens))
     for k in range(max_iter + 1):
-        nxt = ideal_product(truncated, ring.maximal_ideal())
-        if _contains_m_power(truncated, k + 1):
-            if not _contains_m_power(nxt, k + 2):
+        if _contains_m_power(_ladder(I, k, 2), k + 1):
+            if not _contains_m_power(_ladder(I, k + 1, 2), k + 2):
                 raise InvariantError(
                     "reduction equality did not propagate to the next power; "
                     "this indicates an engine bug"
                 )
             return ReductionCertificate(I, k, checked_up_to=k + 1)
-        truncated = nxt
     raise NotAReductionError(
         f"not detected as reduction within max_iter = {max_iter}"
     )
@@ -269,36 +283,8 @@ class DaoReport:
         return self.flags.get("alpha_validated", False)
 
 
-def _i_m_power(I: IdealHandle, n: int, r: int) -> IdealHandle:
-    """I * m^n as an ideal of the local ring, built incrementally, for a
-    reduction I of m with reduction number r.
-
-    m^(n+r+1) = m^n * I m^r lies in I m^n locally, so I m^n + m^(n+r+1) is
-    the same local ideal; it is m-primary in P, which keeps the Groebner
-    bases of everything computed from it small.  The inclusion is checked
-    on K + m^(N+1), which then equals K + m^N and is kept as the rung.  The
-    ring's memo keeps the ladder for the request, so `verify` extends the
-    ladder `dao_numbers` built.
-    """
-    ring = I.ring
-    key = ("i-m-power", I.gb.basis, n, r)
-    cached = ring._op_cache.get(key)
-    if cached is not None:
-        return cached
-    K = I if n == 0 else ideal_product(_i_m_power(I, n - 1, r), ring.maximal_ideal())
-    N = n + r + 1
-    widened = IdealHandle(ring, list(K.gens) + list(ring.m_power(N + 1).gens))
-    if not _contains_m_power(widened, N):
-        raise InvariantError(
-            f"m^{N} is not inside I m^{n} locally although r = {r}; "
-            "this indicates an engine bug"
-        )
-    cached = ring._op_cache[key] = IdealHandle._with_basis(ring, widened.gb)
-    return cached
-
-
 def _table_full(I: IdealHandle, n: int, r: int, policy: GenericElementPolicy) -> PredicateResult:
-    return is_full(_i_m_power(I, n, r), policy.derive(f"table:full:{n}"))
+    return is_full(_ladder(I, n, r + 1), policy.derive(f"table:full:{n}"))
 
 
 def _table_rows(
@@ -306,13 +292,24 @@ def _table_rows(
 ) -> list[PredicateRow]:
     """Predicate rows of the ideals I m^n for n in ns; each sampled entry
     draws from its own `table:` seed, so a row is the same whichever call
-    builds it."""
+    builds it.
+
+    I m^n is read off the ladder as I m^n + m^(n+r+1), the same local ideal:
+    m^(n+r+1) = m^n I m^r lies in I m^n.  That rests on I m^r = m^(r+1), so
+    the certificate's statement is asked again first, on the rung of
+    `reduction_number` that already holds it; a wrong r raises.
+    """
+    if not _contains_m_power(_ladder(I, r, 2), r + 1):
+        raise InvariantError(
+            f"m^{r + 1} is not inside I m^{r} locally although r = {r}; "
+            "this indicates an engine bug"
+        )
     return [
         PredicateRow(
             n=n,
-            m_full=is_m_full(_i_m_power(I, n, r), policy.derive(f"table:m-full:{n}")),
+            m_full=is_m_full(_ladder(I, n, r + 1), policy.derive(f"table:m-full:{n}")),
             full=_table_full(I, n, r, policy),
-            weakly_m_full=is_weakly_m_full(_i_m_power(I, n, r)),
+            weakly_m_full=is_weakly_m_full(_ladder(I, n, r + 1)),
         )
         for n in ns
     ]
@@ -565,7 +562,7 @@ def verify_statements(
 
     # Recorded regularity upper bound.
     if known_reg is not None:
-        ok = report.n1 <= known_reg
+        ok = report.reg_bound_consistent
         checks.append(
             StatementCheck(
                 "rees_regularity_bound",

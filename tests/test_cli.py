@@ -158,6 +158,14 @@ def test_input_error_paths(tmp_path):
         ("colon_b", 1),
         ("trials", 0),
         ("trials", -3),
+        ("s_bound", 0),
+        ("s_bound", -2),
+        ("rr_window", 1),
+        ("rr_window", 0),
+        ("rr_j_cap", 0),
+        ("max_iter", -1),
+        ("degree_cap", 0),
+        ("degree_cap", -3),
     ]:
         wrong = tmp_path / f"wrong_{option}_{value}.json"
         wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))

@@ -225,27 +225,59 @@ def test_dao_semigroup_minimal_reduction():
 def test_table_ideals_are_truncated_by_a_checked_power_of_m():
     # I m^n + m^(n+r+1) is I m^n in the local ring; an r that is too small
     # is caught rather than silently changing the ideals.
-    from fullness_lab.invariants import InvariantError, _i_m_power
+    from fullness_lab.invariants import InvariantError, _ladder, _table_rows
 
     E = ring_4_2()
     I = E.parse_ideal(["x"])  # r = 3
     for n in range(3):
-        assert ideal_equal_local(_i_m_power(I, n, 3), times_m_power(I, n))
-    with pytest.raises(InvariantError):
-        _i_m_power(I, 1, 0)
+        assert ideal_equal_local(_ladder(I, n, 4), times_m_power(I, n))
+    for wrong in (0, 1, 2):
+        with pytest.raises(InvariantError):
+            _table_rows(I, wrong, POLICY, [1])
 
 
 def test_table_rungs_keep_the_basis_of_the_truncated_ideal():
-    from fullness_lab.invariants import _i_m_power
+    from fullness_lab.invariants import _ladder
 
     for E, gens, r in ((ring_4_2(), ["x"], 3), (ring_4_1(), ["x + y + z", "t"], 1)):
         I = E.parse_ideal(gens)
         for n in range(4):
-            rung = _i_m_power(I, n, r)
+            rung = _ladder(I, n, r + 1)
             direct = E.ideal(list(times_m_power(I, n).gens) + list(E.m_power(n + r + 1).gens))
             assert rung.gb.basis == direct.gb.basis, (gens, n)
-            # The rung is a handle on its reduced basis alone.
-            assert rung.gens == rung.gb.basis
+
+
+@pytest.mark.parametrize(
+    "ring, gens", [(ring_4_2, ["x", "y"]), (ring_4_1, ["x + y + z", "t"])]
+)
+def test_table_reads_the_rungs_reduction_number_walked(monkeypatch, ring, gens):
+    # With r = 1 the table ideals I m^n + m^(n+2) are the rungs on which
+    # reduction_number decided r, and the product N = K m that m-fullness
+    # takes of a rung is the next rung: one handle, one Groebner basis.
+    from fullness_lab import invariants
+    from fullness_lab.idealcalc import ideal_product
+
+    walked, table = {}, []
+
+    def record_walk(K, k, _original=invariants._contains_m_power):
+        walked.setdefault(k - 1, K)
+        return _original(K, k)
+
+    def record_rung(K, policy, _original=invariants.is_m_full):
+        table.append(K)  # rows are built in order n = 0, 1, ...
+        return _original(K, policy)
+
+    monkeypatch.setattr(invariants, "_contains_m_power", record_walk)
+    monkeypatch.setattr(invariants, "is_m_full", record_rung)
+    E = ring()
+    report = dao_numbers(E.parse_ideal(gens), POLICY)
+    assert report.r == 1 and len(table) == report.alpha + 2
+    # reduction_number asks T_0 about m, T_1 about m^2 and T_2 about m^3.
+    assert sorted(walked) == [0, 1, 2]
+    for n in range(report.r + 2):
+        assert table[n] is walked[n], n
+    for n in range(len(table) - 1):
+        assert ideal_product(table[n], E.maximal_ideal()) is table[n + 1], n
 
 
 def test_dao_semigroup_non_minimal_reduction():
