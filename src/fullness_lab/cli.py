@@ -48,9 +48,9 @@ INT_OPTIONS = {
 }
 TYPED_OPTIONS = {"assert_minimal": bool, "ideal": str, "colon_a": str, "colon_b": str}
 DEFAULT_TIME_BUDGET = 1800.0
-# Rings of the most recent presentations served in this process, with their
-# ring-level results (m powers, Ratliff-Rush records, depth witness), keyed
-# by the canonical ring spec and the degree cap, least recently used first.
+# Rings of the most recent presentations served in this process, keyed by
+# the canonical ring spec and the degree cap, least recently used first;
+# each ring's memo keeps its ring-level results from request to request.
 # It lives in the module because `run(problem)` is the whole interface a
 # long-lived caller has.
 RING_TABLE_CAP = 8
@@ -94,27 +94,31 @@ def validate_problem(problem: dict):
     ring = problem.get("ring")
     _require(isinstance(ring, dict), "missing 'ring' object")
     _require(
-        isinstance(ring.get("variables"), list) and ring["variables"],
-        "ring.variables must be a nonempty list",
+        _string_list(ring.get("variables")) and ring["variables"],
+        "ring.variables must be a nonempty list of strings",
     )
     char = ring.get("characteristic", 32003)
-    _require(isinstance(char, int) and char >= 0, "ring.characteristic must be 0 or a prime")
     _require(
-        isinstance(ring.get("relations", []), list),
+        isinstance(char, int) and not isinstance(char, bool) and char >= 0,
+        "ring.characteristic must be 0 or a prime",
+    )
+    _require(
+        _string_list(ring.get("relations", [])),
         "ring.relations must be a list of polynomial strings",
     )
     ideals = problem.get("ideals", {})
     _require(isinstance(ideals, dict), "'ideals' must map names to generator lists")
     for name, gens in ideals.items():
         _require(name != "m", "the name 'm' is reserved for the maximal ideal")
-        _require(
-            isinstance(gens, list) and all(isinstance(g, str) for g in gens),
-            f"ideal {name!r} must be a list of polynomial strings",
-        )
+        _require(_string_list(gens), f"ideal {name!r} must be a list of polynomial strings")
     task = problem.get("task")
     if task is not None:
         _require(task in TASKS, f"unknown task {task!r}; expected one of {TASKS}")
     _validate_options(problem.get("options", {}))
+
+
+def _string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def _validate_options(options: dict):
@@ -232,8 +236,7 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
     input_hash = hashlib.sha256(canonical.encode()).hexdigest()
 
     ring = build_ring(problem, options.get("degree_cap", DEFAULT_DEGREE_CAP))
-    # Ideal results live for one request; ring-level results stay.
-    ring._op_cache.clear()
+    ring.start_request()
     handles: dict[str, IdealHandle] = {}
     policy = GenericElementPolicy(**_given(options, "trials", "seed"))
     started = time.monotonic()

@@ -183,7 +183,8 @@ def _equation(I: IdealHandle, predicate: str):
         N, T = I, ideal_colon(I, m)
     else:
         raise FullnessError(f"unknown predicate {predicate!r}")
-    index = _standard_monomials(N)
+    # The m-full test of a table rung and the full test of the next share N.
+    index = I.ring.memo(("standard-monomials", N.gb.basis), lambda: _standard_monomials(N))
     if index is None:
         return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
     amb = I.ring.ambient

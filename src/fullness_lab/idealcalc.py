@@ -33,6 +33,7 @@ class IdealcalcError(PolyringError):
 
 
 _AUX = "w"
+_MISSING = object()
 
 
 def _aux_name(ring: PolyRing) -> str:
@@ -45,10 +46,13 @@ def _aux_name(ring: PolyRing) -> str:
 class QuotientRing:
     """Presentation of the local ring (P/J) localized at m = (variables).
 
-    The ring owns everything computed from its presentation alone: the
-    zero ideal, whose basis is that of J, the powers of m, and the depth
-    witness and Ratliff-Rush records of m-powers that `invariants` stores
-    here.  Every Groebner run on its ideals honours its degree cap.
+    The ring keeps the zero ideal, whose basis is that of J, and one memo
+    that every layer reads and writes through `memo`.  A memo key names
+    what its result depends on: an ideal by its reduced basis, an element
+    by itself.  `start_request` keeps the entries whose key names neither,
+    which depend on the presentation alone: the powers of m, the depth
+    witness and the Ratliff-Rush records of m-powers.  Every Groebner run
+    on its ideals honours its degree cap.
     """
 
     def __init__(
@@ -73,12 +77,7 @@ class QuotientRing:
             rels.append(f)
         self.relations = tuple(rels)
         self._zero = IdealHandle(self, ())
-        self._m_powers: dict[int, IdealHandle] = {}
-        self.regular_form: Polynomial | None = None
-        self.rr_records: dict = {}
-        # Memo of ideal operations, keyed by reduced bases (results depend
-        # only on the lifted ideals).  A long-lived caller clears it between
-        # requests, so it never holds more than one request's ideals.
+        # The memo; the benchmark's tracer reads it under this name.
         self._op_cache: dict = {}
         if self.relations:
             gb = self.gbJ
@@ -101,19 +100,29 @@ class QuotientRing:
     def maximal_ideal(self) -> "IdealHandle":
         return self.m_power(1)
 
+    def memo(self, key: tuple, build):
+        """The result stored under key; a miss stores what build() returns."""
+        result = self._op_cache.get(key, _MISSING)
+        if result is _MISSING:
+            result = self._op_cache[key] = build()
+        return result
+
+    def start_request(self):
+        """Drop the memo entries whose key names an ideal or an element:
+        keys of strings and integers alone stay."""
+        self._op_cache = {
+            key: value for key, value in self._op_cache.items()
+            if all(isinstance(part, (str, int)) for part in key)
+        }
+
     def m_power(self, k: int) -> "IdealHandle":
         """The k-th power of the maximal ideal, generated by the degree-k
         monomials (k = 0 gives the unit ideal, for internal bootstrapping)."""
         if k < 0:
             raise IdealcalcError("negative power of the maximal ideal")
-        if k not in self._m_powers:
-            if k == 0:
-                handle = IdealHandle(self, (self.ambient.one(),))
-            else:
-                gens = [self.ambient.monomial(m) for m in monomials_of_degree(self.ambient.nvars, k)]
-                handle = IdealHandle(self, gens)
-            self._m_powers[k] = handle
-        return self._m_powers[k]
+        return self.memo(("m-power", k), lambda: self.ideal(
+            [self.ambient.monomial(m) for m in monomials_of_degree(self.ambient.nvars, k)]
+        ))
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of a lift modulo the relations."""
@@ -192,15 +201,13 @@ def _check_same_ring(A: IdealHandle, B: IdealHandle):
 def ideal_product(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     """Product ideal, generated by pairwise products of effective generators."""
     _check_same_ring(A, B)
-    key = ("product", frozenset((A.gb.basis, B.gb.basis)))
-    cached = A.ring._op_cache.get(key)
-    if cached is not None:
-        return cached
-    gens_a = A.effective_gens() or list(A.gens)
-    gens_b = B.effective_gens() or list(B.gens)
-    result = IdealHandle(A.ring, [a * b for a in gens_a for b in gens_b])
-    A.ring._op_cache[key] = result
-    return result
+
+    def build():
+        gens_a = A.effective_gens() or list(A.gens)
+        gens_b = B.effective_gens() or list(B.gens)
+        return IdealHandle(A.ring, [a * b for a in gens_a for b in gens_b])
+
+    return A.ring.memo(("product", frozenset((A.gb.basis, B.gb.basis))), build)
 
 
 def times_m_power(A: IdealHandle, n: int) -> IdealHandle:
@@ -219,16 +226,14 @@ def ideal_intersection(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     gens_b = list(B.gb.basis)
     if not gens_a or not gens_b:
         return ring.zero_ideal()
-    key = ("intersection", frozenset((A.gb.basis, B.gb.basis)))
-    cached = ring._op_cache.get(key)
-    if cached is not None:
-        return cached
-    # Both lifts contain the relations, and the surviving elements of a
-    # reduced elimination basis are the reduced basis of the intersection.
-    inter = _intersect_lifts(ring.ambient, gens_a, gens_b, ring.degree_cap)
-    result = IdealHandle._with_basis(ring, GroebnerBasis(ring.ambient, inter))
-    ring._op_cache[key] = result
-    return result
+
+    def build():
+        # Both lifts contain the relations, and the surviving elements of a
+        # reduced elimination basis are the reduced basis of the intersection.
+        inter = _intersect_lifts(ring.ambient, gens_a, gens_b, ring.degree_cap)
+        return IdealHandle._with_basis(ring, GroebnerBasis(ring.ambient, inter))
+
+    return ring.memo(("intersection", frozenset((A.gb.basis, B.gb.basis))), build)
 
 
 def _intersect_lifts(
@@ -283,18 +288,17 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     gens_b = [g for g in B.gens if ring.reduce(g)]
     if not gens_b:
         raise IdealcalcError("colon by the zero ideal")
-    key = ("colon", A.gb.basis, B.gb.basis)
-    cached = ring._op_cache.get(key)
-    if cached is not None:
-        return cached
-    numerator = list(A.gb.basis)
-    result: IdealHandle | None = None
-    for b in gens_b:
-        cb = IdealHandle._with_basis(ring, _colon_single(numerator, b, ring.degree_cap))
-        result = cb if result is None else ideal_intersection(result, cb)
-    assert result is not None
-    ring._op_cache[key] = result
-    return result
+
+    def build():
+        numerator = list(A.gb.basis)
+        result: IdealHandle | None = None
+        for b in gens_b:
+            cb = IdealHandle._with_basis(ring, _colon_single(numerator, b, ring.degree_cap))
+            result = cb if result is None else ideal_intersection(result, cb)
+        assert result is not None
+        return result
+
+    return ring.memo(("colon", A.gb.basis, B.gb.basis), build)
 
 
 def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
@@ -308,13 +312,12 @@ def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
         raise RingMismatchError("element from a different ring")
     if normal_form(f, B.gb).is_zero():
         return True
-    key = ("contains", B.gb.basis, f)
-    cached = B.ring._op_cache.get(key)
-    if cached is None:
+
+    def build():
         widened = list(B.gb.basis) + [x * f for x in f.ring.gens()]
-        cached = normal_form(f, buchberger(widened, degree_cap=B.ring.degree_cap)).is_zero()
-        B.ring._op_cache[key] = cached
-    return cached
+        return normal_form(f, buchberger(widened, degree_cap=B.ring.degree_cap)).is_zero()
+
+    return B.ring.memo(("contains", B.gb.basis, f), build)
 
 
 def ideal_contains_local_ideal(B: IdealHandle, A: IdealHandle) -> bool:

@@ -69,21 +69,21 @@ def depth_witness(ring: QuotientRing, policy: GenericElementPolicy | None = None
     """A verified regular linear form in m, kept by the ring; raises
     DepthProbeError if the sampled candidates all fail (depth 0, or bad
     luck)."""
-    if ring.regular_form is not None:
-        return ring.regular_form
-    policy = policy or GenericElementPolicy()
-    rng = policy.rng("depth-probe")
-    failures = 0
-    for _ in range(max(policy.trials, 3)):
-        ell = sample_linear_form(ring, rng)
-        if is_nonzerodivisor(ell, ring):
-            ring.regular_form = ell
-            return ell
-        failures += 1
-    raise DepthProbeError(
-        f"no regular linear form found in m after {failures} trials; "
-        "the positive-depth hypothesis looks violated"
-    )
+
+    def probe() -> Polynomial:
+        sampling = policy or GenericElementPolicy()
+        rng = sampling.rng("depth-probe")
+        trials = max(sampling.trials, 3)
+        for _ in range(trials):
+            ell = sample_linear_form(ring, rng)
+            if is_nonzerodivisor(ell, ring):
+                return ell
+        raise DepthProbeError(
+            f"no regular linear form found in m after {trials} trials; "
+            "the positive-depth hypothesis looks violated"
+        )
+
+    return ring.memo(("depth-witness",), probe)
 
 
 @dataclass(frozen=True)
@@ -114,15 +114,13 @@ def _ladder(I: IdealHandle, n: int, c: int) -> IdealHandle:
     keeps them for the request: `reduction_number` (c = 2), the table
     (c = r + 1) and `verify` share them."""
     ring = I.ring
-    key = ("ladder", I.gb.basis, n, c)
-    rung = ring._op_cache.get(key)
-    if rung is None:
+
+    def build() -> IdealHandle:
         if n == 0:
-            rung = IdealHandle(ring, list(I.gens) + list(ring.m_power(c).gens))
-        else:
-            rung = ideal_product(_ladder(I, n - 1, c), ring.maximal_ideal())
-        ring._op_cache[key] = rung
-    return rung
+            return IdealHandle(ring, list(I.gens) + list(ring.m_power(c).gens))
+        return ideal_product(_ladder(I, n - 1, c), ring.maximal_ideal())
+
+    return ring.memo(("ladder", I.gb.basis, n, c), build)
 
 
 def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> ReductionCertificate:
@@ -184,43 +182,41 @@ def ratliff_rush_power(
     if window < 2:
         raise InvariantError("stabilization window must be at least 2")
     depth_witness(ring, policy)
-    if (n, window, j_cap) in ring.rr_records:
-        return ring.rr_records[(n, window, j_cap)]
-    chain: list[IdealHandle] = []
-    matches = 1
-    j = 0
-    while j < j_cap:
-        j += 1
-        # m^(n+j) : m^j as j colons by m; the memo shares the steps between
-        # chains.
-        term = ring.m_power(n + j)
-        for _ in range(j):
-            term = ideal_colon(term, ring.maximal_ideal())
-        if chain:
-            if not ideal_contains_local_ideal(term, chain[-1]):
-                raise InvariantError(
-                    "colon chain failed to ascend; this indicates an engine bug"
+
+    def build() -> RRChainRecord:
+        chain: list[IdealHandle] = []
+        matches = 1
+        for j in range(1, j_cap + 1):
+            # m^(n+j) : m^j as j colons by m; the memo shares the steps
+            # between chains.
+            term = ring.m_power(n + j)
+            for _ in range(j):
+                term = ideal_colon(term, ring.maximal_ideal())
+            if chain:
+                if not ideal_contains_local_ideal(term, chain[-1]):
+                    raise InvariantError(
+                        "colon chain failed to ascend; this indicates an engine bug"
+                    )
+                if ideal_equal_local(term, chain[-1]):
+                    matches += 1
+                else:
+                    matches = 1
+            chain.append(term)
+            if matches >= window:
+                return RRChainRecord(
+                    n=n,
+                    chain=tuple(chain),
+                    stable_value=term,
+                    window=window,
+                    certified=False,
+                    stabilized_at=j - window + 1,
                 )
-            if ideal_equal_local(term, chain[-1]):
-                matches += 1
-            else:
-                matches = 1
-        chain.append(term)
-        if matches >= window:
-            record = RRChainRecord(
-                n=n,
-                chain=tuple(chain),
-                stable_value=term,
-                window=window,
-                certified=False,
-                stabilized_at=j - window + 1,
-            )
-            ring.rr_records[(n, window, j_cap)] = record
-            return record
-    raise ChainCapExceeded(
-        f"colon chain for power {n} showed no window of {window} equal terms "
-        f"within j <= {j_cap}"
-    )
+        raise ChainCapExceeded(
+            f"colon chain for power {n} showed no window of {window} equal terms "
+            f"within j <= {j_cap}"
+        )
+
+    return ring.memo(("rr", n, window, j_cap), build)
 
 
 @dataclass(frozen=True)
@@ -274,6 +270,7 @@ class DaoReport:
     n3: int
     n2_certified: bool
     predicate_table: tuple[PredicateRow, ...]
+    s_records: tuple[RRChainRecord, ...]
     flags: dict
     reg_bound: int | None = None
     reg_bound_consistent: bool | None = None
@@ -389,6 +386,7 @@ def dao_numbers(
         n3=n3,
         n2_certified=n2_certified,
         predicate_table=tuple(table),
+        s_records=s_result.records,
         flags=flags,
         reg_bound=known_reg,
         reg_bound_consistent=reg_consistent,
@@ -415,10 +413,10 @@ def verify_statements(
     """Instance-wise verification of the structural statements the engine
     relies on, evaluated on the given ring and reduction.
 
-    The checks read the index report of `dao_numbers`.  The equivalence
-    check extends its predicate table, with the same `table:` seeds, by the
-    row n = alpha + 2 and by fullness at alpha + 3; no predicate of a table
-    ideal is sampled twice.
+    The checks read the index report of `dao_numbers`, its s-scan records
+    included.  The equivalence check extends its predicate table, with the
+    same `table:` seeds, by the row n = alpha + 2 and by fullness at
+    alpha + 3; no predicate of a table ideal is sampled twice.
 
     Statuses never claim a proof: existential predicates can fail only
     probabilistically, so mismatches involving an uncertified False are
@@ -485,13 +483,7 @@ def verify_statements(
     )
 
     # Colon chains: closing one more power and coloning by m descends.
-    s_records = s_index(
-        ring,
-        min(report.s_certified_up_to, alpha + 2),
-        window=dao_kwargs.get("rr_window", DEFAULT_RR_WINDOW),
-        j_cap=dao_kwargs.get("rr_j_cap", DEFAULT_RR_JCAP),
-        policy=policy,
-    ).records
+    s_records = report.s_records[: alpha + 2]
     descend_bad = []
     for lower, upper in zip(s_records, s_records[1:]):
         lhs = ideal_colon(upper.stable_value, ring.maximal_ideal())

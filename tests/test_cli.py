@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line interface and the bundled corpus."""
 
 import gc
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fullness_lab import cli
 from fullness_lab import corpus
 from fullness_lab.idealcalc import QuotientRing
+from fullness_lab.polyring import Polynomial
 
 
 FAST_CORPUS = [e["name"] for e in corpus.listing() if not e["slow"]]
@@ -143,8 +146,17 @@ def test_input_error_paths(tmp_path):
     )
     assert cli.main(["dao", "--input", str(missing_ideal)]) == 1
 
-    # options of the wrong type are input errors, not tracebacks
+    # ring entries of the wrong type are input errors, not tracebacks
     base = corpus.load("regular_2d")
+    for key, value in [("variables", [1, 2]), ("relations", [5]), ("characteristic", True)]:
+        wrong_ring = dict(base, ring={**base["ring"], key: value})
+        wrong = tmp_path / f"wrong_ring_{key}.json"
+        wrong.write_text(json.dumps(wrong_ring))
+        assert cli.main(["dao", "--input", str(wrong)]) == 1, key
+        with pytest.raises(cli.InputError):
+            cli.run(wrong_ring)
+
+    # options of the wrong type are input errors, not tracebacks
     for option, value in [
         ("trials", "x"),
         ("degree_cap", "abc"),
@@ -264,6 +276,68 @@ def test_ring_table_stays_bounded():
     reports[-1].pop("timing_ms")
     again.pop("timing_ms")
     assert again == reports[-1]
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _names_ideal_or_element(part) -> bool:
+    if isinstance(part, Polynomial):
+        return True
+    return isinstance(part, (tuple, frozenset)) and any(map(_names_ideal_or_element, part))
+
+
+def test_start_request_keeps_only_ring_level_entries():
+    problem = corpus.load("example_4_2_L")
+    cli.run(problem)
+    ring = cli.build_ring(problem)
+    before = dict(ring._op_cache)
+    assert any(_names_ideal_or_element(key) for key in before)
+    ring.start_request()
+    after = ring._op_cache
+    assert after and not any(_names_ideal_or_element(key) for key in after)
+    assert all(before[key] is value for key, value in after.items())
+    assert {key[0] for key in after} == {"m-power", "depth-witness", "rr"}
+
+
+def test_ring_level_entries_stop_changing_over_a_long_run():
+    # 300 dense-ideals requests in one process, as the benchmark serves
+    # them: after its second request, no ring gains or loses a ring-level
+    # entry, so the memo cannot grow with the number of requests.
+    dense = _benchmark_workloads().DenseIdeals(corpus)
+    requests = dense.warmup(3) + [req for j in range(34) for req in dense.cycle(3, j)]
+    kept: dict[QuotientRing, list[dict]] = {}
+    for req in requests[:300]:
+        cli.run(req["problem"])
+        ring = cli.build_ring(req["problem"])
+        ring.start_request()
+        kept.setdefault(ring, []).append(dict(ring._op_cache))
+    assert len(kept) == 2
+    for snapshots in kept.values():
+        assert len(snapshots) > 2
+        second = snapshots[1]
+        for later in snapshots[2:]:
+            assert later.keys() == second.keys()
+            assert all(later[key] is value for key, value in second.items())
+
+
+def test_warm_rings_serve_the_reports_of_fresh_ones():
+    workloads = _benchmark_workloads()
+    dense = workloads.DenseIdeals(corpus)
+    qq = workloads.QQKernels(corpus)
+    problems = [req["problem"] for req in dense.warmup(5) + qq.cycle(5, 0)]
+    warm = [cli.run(problem) for problem in problems]
+    for problem, report in zip(problems, warm):
+        cli._RING_TABLE.clear()
+        fresh = cli.run(problem)
+        report.pop("timing_ms")
+        fresh.pop("timing_ms")
+        assert report == fresh, problem["name"]
 
 
 def test_characteristic_zero_pipeline():

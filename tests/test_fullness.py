@@ -235,6 +235,22 @@ def test_table_predicates_never_colon_by_one_element(name, monkeypatch):
     assert divisors and 1 not in divisors
 
 
+@pytest.mark.parametrize("name", FAST_CORPUS)
+def test_premise_is_built_once_per_basis_in_a_request(name, monkeypatch):
+    # The m-full test of a table rung and the full test of the next rung
+    # ask about the same N; the ring's memo answers the second time.
+    bases = []
+    build = fullness._standard_monomials
+
+    def recording(N):
+        bases.append(N.gb.basis)
+        return build(N)
+
+    monkeypatch.setattr(fullness, "_standard_monomials", recording)
+    cli.run(corpus.load(name), {"task": "dao"})
+    assert bases and len(bases) == len(set(bases))
+
+
 def test_replay_checks_that_a_power_of_m_lies_in_the_ideal():
     # (x^2 - x, y) is (x, y) in the local ring, but P/(x^2 - x, y) also has
     # the point (1, 0), where x is not nilpotent; a rank on P/N would count

@@ -1,12 +1,16 @@
 """The benchmark tracer (`perfbench/tracing.py`) wraps library functions by
-module and name.  Each of them must exist, so that renaming one fails here
-rather than in the next traced benchmark run."""
+module and name, and reads each ring's memo as `_op_cache`.  Each of them
+must exist, so that renaming one fails here rather than in the next traced
+benchmark run."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from fullness_lab.idealcalc import QuotientRing, ideal_product
+from fullness_lab.polyring import QQ, PolyRing
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +31,16 @@ tracing = _load_tracing()
 def test_traced_entry_point_is_a_library_function(module, name):
     target = getattr(importlib.import_module(f"fullness_lab.{module}"), name, None)
     assert callable(target), f"fullness_lab.{module}.{name}"
+
+
+def test_traced_memo_is_the_rings_op_cache():
+    # The tracer counts a memo hit when a call leaves `_op_cache` the same
+    # size, so a miss must add an entry and a hit none.
+    ring = QuotientRing(PolyRing(["x", "y"], QQ))
+    assert isinstance(ring._op_cache, dict)
+    m = ring.maximal_ideal()
+    before = len(ring._op_cache)
+    ideal_product(m, m)
+    after_miss = len(ring._op_cache)
+    ideal_product(m, m)
+    assert after_miss > before and len(ring._op_cache) == after_miss
