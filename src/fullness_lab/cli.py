@@ -14,8 +14,8 @@ import signal
 import sys
 import time
 from collections import OrderedDict
-from importlib import metadata
 
+from . import __version__
 from . import corpus as corpus_pkg
 from .fullness import GenericElementPolicy, PredicateResult
 from .groebner import DEFAULT_DEGREE_CAP, DegreeCapExceeded
@@ -44,7 +44,7 @@ TASKS = ("gb", "colon", "rr", "rednum", "dao", "verify")
 # smaller value is an input error, not a failed computation.
 INT_OPTIONS = {
     "trials": 1, "seed": None, "rr_window": 2, "rr_j_cap": 1, "s_bound": 1, "max_iter": 0,
-    "known_reg": None, "degree_cap": 1, "rr_n": 1, "assert_dim": None,
+    "known_reg": 0, "degree_cap": 1, "rr_n": 1, "assert_dim": None,
 }
 TYPED_OPTIONS = {"assert_minimal": bool, "ideal": str, "colon_a": str, "colon_b": str}
 DEFAULT_TIME_BUDGET = 1800.0
@@ -63,13 +63,6 @@ class InputError(Exception):
 
 class TimeBudgetExceeded(Exception):
     pass
-
-
-def _tool_version() -> str:
-    try:
-        return metadata.version("fullness-lab")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _require(cond: bool, message: str):
@@ -208,6 +201,7 @@ def _dao_dict(report: DaoReport) -> dict:
             for row in report.predicate_table
         ],
         "flags": report.flags,
+        "reg_G_upper": report.reg_G_upper,
         "reg_bound": report.reg_bound,
         "reg_bound_consistent": report.reg_bound_consistent,
     }
@@ -244,7 +238,7 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
 
     report_obj = {
         "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "fullness-lab", "version": _tool_version()},
+        "tool": {"name": "fullness-lab", "version": __version__},
         "task": task,
         "name": problem.get("name"),
         "input_sha256": input_hash,

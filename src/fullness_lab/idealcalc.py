@@ -51,8 +51,8 @@ class QuotientRing:
     what its result depends on: an ideal by its reduced basis, an element
     by itself.  `start_request` keeps the entries whose key names neither,
     which depend on the presentation alone: the powers of m, the depth
-    witness and the Ratliff-Rush records of m-powers.  Every Groebner run
-    on its ideals honours its degree cap.
+    witness, the Ratliff-Rush records of m-powers and the regularity bound
+    of G(m).  Every Groebner run on its ideals honours its degree cap.
     """
 
     def __init__(

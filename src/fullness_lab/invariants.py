@@ -15,22 +15,27 @@ Ratliff-Rush closures are computed as stable values of the ascending colon
 chain m^{n+j} : m^j.  Chain stabilization is detected by a window of equal
 consecutive terms, which is a heuristic (colon chains can pause); the exact
 downstream cross-check (weak m-fullness must fail at alpha - 1) is used to
-validate alpha, and reports carry explicit certification flags.
+validate alpha, and reports carry explicit certification flags.  The scan
+stops at a certified rho >= reg G(m): s - 1 <= n1 <= reg R(m) = reg G(m)
+(Trung, Trans. AMS 1998), so every power that is not closed is at most rho.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 
 from .fullness import (
     GenericElementPolicy,
     PredicateResult,
+    _rank,
     is_full,
     is_m_full,
     is_weakly_m_full,
     sample_linear_form,
 )
-from .groebner import normal_form
+from .groebner import DegreeCapExceeded, GroebnerBasis, buchberger, eliminate, normal_form
 from .idealcalc import (
     IdealHandle,
     QuotientRing,
@@ -40,13 +45,11 @@ from .idealcalc import (
     ideal_product,
     is_nonzerodivisor,
 )
-from .polyring import Polynomial, PolyringError
+from .polyring import Monomial, Polynomial, PolyringError, monomials_of_degree
 
 DEFAULT_RR_WINDOW = 3
 DEFAULT_RR_JCAP = 25
 DEFAULT_MAX_ITER = 50
-DEFAULT_S_SAFETY = 4
-DEFAULT_S_BOUND_FLOOR = 8
 
 
 class InvariantError(PolyringError):
@@ -84,6 +87,81 @@ def depth_witness(ring: QuotientRing, policy: GenericElementPolicy | None = None
         )
 
     return ring.memo(("depth-witness",), probe)
+
+
+def tangent_cone(ring: QuotientRing) -> GroebnerBasis:
+    """Reduced basis of J*, the ideal of the lowest-degree forms of J, so
+    that G(m) = P/J*: ((f(t x) : f in J) : t^inf) at t = 0, the saturation
+    one elimination of w from (f(t x), 1 - t w)."""
+    amb = ring.ambient
+    if not ring.relations:
+        return GroebnerBasis(amb, ())
+    w, t = [v for v in (f"h{i}" for i in range(amb.nvars + 2)) if v not in amb.variables][:2]
+    ext = amb.extend_front([w, t])
+    gens = [ext.from_dict({Monomial((0, sum(m), *m)): c for m, c in f.terms}) for f in ring.relations]
+    saturated = eliminate(gens + [ext.one() - ext.gen(t) * ext.gen(w)], [w], ring.degree_cap)
+    at_zero = [amb.from_dict({Monomial(m[2:]): c for m, c in g.terms if not m[1]}) for g in saturated]
+    return buchberger(at_zero, degree_cap=ring.degree_cap)
+
+
+def regularity_bound(cone: GroebnerBasis, forms: Iterator[Polynomial], degree_cap: int) -> int:
+    """A certified rho >= reg P/J* for the reduced basis `cone` of a
+    homogeneous ideal J*, by Bayer and Stillman (Invent. Math. 1987, Thm
+    1.10(b)).  Let d be at least the top degree of a minimal generator.  If
+    forms h_1, h_2, ... are each injective from degree d to d + 1 of
+    P/(J*, h_1..h_(i-1)) until that quotient is zero in degree d, then
+    reg J* <= d and rho = d - 1.  Each test is a rank on standard monomials;
+    any forms are sound, unlucky ones only make rho larger."""
+    amb, leads = cone.ring, [g.lead_monomial for g in cone.basis]
+    if not leads:
+        return 0
+
+    @cache
+    def std(e: int) -> list[Monomial]:  # ascending, the row order the ranks fill in least
+        degree_e = monomials_of_degree(amb.nvars, e)
+        return sorted(u for u in degree_e if not any(v.divides(u) for v in leads))
+
+    def rank(rows: list[dict]) -> int:
+        return _rank([dict(row) for row in rows], amb.field)
+
+    def images(h: Polynomial, e: int) -> list[dict]:  # h * std(e - 1), on std(e)
+        return [dict(normal_form(h * amb.monomial(u), cone).terms) for u in std(e - 1)]
+
+    def generates(e: int) -> bool:  # is J*_e more than m J*_(e-1)?
+        inside = [amb.monomial(u) for u in monomials_of_degree(amb.nvars, e - 1) if u not in std(e - 1)]
+        rows = [dict((x * (u - normal_form(u, cone))).terms) for u in inside for x in amb.gens()]
+        return rank(rows) < comb(e + amb.nvars - 1, e) - len(std(e))
+
+    def certifies(d: int) -> bool:
+        low, high, high_rank = [], [], 0  # the rows of (h_1..h_(i-1)) in degrees d, d + 1
+        # left, the quotient's dimension in degree d, falls with each injective h
+        while left := len(std(d)) - rank(low):
+            h = next(forms)
+            low, high = low + images(h, d), high + images(h, d + 1)
+            if rank(high) - high_rank != left:
+                return False
+            high_rank += left
+        return True
+
+    # Only the degrees of basis elements can hold a minimal generator.
+    d = next(e for e in sorted({g.total_degree for g in cone.basis}, reverse=True) if generates(e))
+    while not certifies(d):
+        d += 1
+        if d > degree_cap:
+            raise DegreeCapExceeded(d, degree_cap)
+    return d - 1
+
+
+def reg_G_upper(ring: QuotientRing) -> int:
+    """`regularity_bound` of the tangent cone, kept by the ring; its forms
+    come from an rng seeded by the presentation alone, not the request."""
+
+    def build() -> int:
+        rng = GenericElementPolicy().rng(f"reg-G:{ring!r}")
+        forms = iter(lambda: sample_linear_form(ring, rng), None)
+        return regularity_bound(tangent_cone(ring), forms, ring.degree_cap)
+
+    return ring.memo(("reg-G-upper",), build)
 
 
 @dataclass(frozen=True)
@@ -270,8 +348,8 @@ class DaoReport:
     n3: int
     n2_certified: bool
     predicate_table: tuple[PredicateRow, ...]
-    s_records: tuple[RRChainRecord, ...]
     flags: dict
+    reg_G_upper: int
     reg_bound: int | None = None
     reg_bound_consistent: bool | None = None
 
@@ -328,14 +406,15 @@ def dao_numbers(
     of I m^n over n in [0, alpha], which suffices because beyond alpha the
     m-fullness of the previous power forces fullness.  The exact weak-m-full
     failure at alpha-1 revalidates alpha against the heuristic part of the
-    s-computation.
+    s-computation.  Without an `s_bound`, the s-scan covers the powers
+    1..max(rho, 1), rho the ring's `reg_G_upper`.
     """
     ring = I.ring
     policy = policy or GenericElementPolicy()
     depth_witness(ring, policy)
     cert = reduction_number(I, max_iter=max_iter)
     r = cert.r
-    bound = s_bound if s_bound is not None else max(r + DEFAULT_S_SAFETY, DEFAULT_S_BOUND_FLOOR)
+    bound = s_bound if s_bound is not None else max(reg_G_upper(ring), 1)
     s_result = s_index(ring, bound, window=rr_window, j_cap=rr_j_cap, policy=policy)
     s = s_result.s
     alpha = max(r, s - 1)
@@ -372,9 +451,7 @@ def dao_numbers(
     if n2 > alpha:
         flags["n2_scan_discrepancy"] = True
 
-    reg_consistent = None
-    if known_reg is not None:
-        reg_consistent = n1 <= known_reg
+    reg_consistent = None if known_reg is None else n1 <= known_reg
 
     return DaoReport(
         r=r,
@@ -386,8 +463,8 @@ def dao_numbers(
         n3=n3,
         n2_certified=n2_certified,
         predicate_table=tuple(table),
-        s_records=s_result.records,
         flags=flags,
+        reg_G_upper=reg_G_upper(ring),
         reg_bound=known_reg,
         reg_bound_consistent=reg_consistent,
     )
@@ -413,10 +490,10 @@ def verify_statements(
     """Instance-wise verification of the structural statements the engine
     relies on, evaluated on the given ring and reduction.
 
-    The checks read the index report of `dao_numbers`, its s-scan records
-    included.  The equivalence check extends its predicate table, with the
-    same `table:` seeds, by the row n = alpha + 2 and by fullness at
-    alpha + 3; no predicate of a table ideal is sampled twice.
+    The checks read the index report of `dao_numbers` and the ring's
+    Ratliff-Rush records up to alpha + 2.  The equivalence check extends
+    the table, with the same `table:` seeds, by the row n = alpha + 2 and
+    by fullness at alpha + 3; no predicate of a table ideal is sampled twice.
 
     Statuses never claim a proof: existential predicates can fail only
     probabilistically, so mismatches involving an uncertified False are
@@ -482,8 +559,10 @@ def verify_statements(
         )
     )
 
-    # Colon chains: closing one more power and coloning by m descends.
-    s_records = report.s_records[: alpha + 2]
+    # Colon chains: closing one more power and coloning by m descends.  The
+    # ring keeps the records the index report already scanned.
+    j_cap = dao_kwargs.get("rr_j_cap", DEFAULT_RR_JCAP)
+    s_records = s_index(ring, alpha + 2, report.flags["rr_window"], j_cap, policy).records
     descend_bad = []
     for lower, upper in zip(s_records, s_records[1:]):
         lhs = ideal_colon(upper.stable_value, ring.maximal_ideal())
@@ -566,5 +645,12 @@ def verify_statements(
         checks.append(
             StatementCheck("rees_regularity_bound", "SKIPPED", "no known_reg supplied")
         )
+
+    # The certified regularity bound against n1 and a recorded regularity.
+    rho, given = report.reg_G_upper, (("n1", report.n1), ("known_reg", known_reg))
+    sign = lambda k: "<" if k < rho else "=" if k == rho else ">"  # noqa: E731
+    detail = "; ".join(f"{name}={k} {sign(k)} reg_G_upper={rho}" for name, k in given if k is not None)
+    status = "HOLDS" if report.n1 <= rho else "VIOLATION"
+    checks.append(StatementCheck("n1_le_reg_G_upper", status, detail))
 
     return report, tuple(checks)

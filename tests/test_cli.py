@@ -178,6 +178,7 @@ def test_input_error_paths(tmp_path):
         ("max_iter", -1),
         ("degree_cap", 0),
         ("degree_cap", -3),
+        ("known_reg", -1),
     ]:
         wrong = tmp_path / f"wrong_{option}_{value}.json"
         wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))
@@ -302,7 +303,7 @@ def test_start_request_keeps_only_ring_level_entries():
     after = ring._op_cache
     assert after and not any(_names_ideal_or_element(key) for key in after)
     assert all(before[key] is value for key, value in after.items())
-    assert {key[0] for key in after} == {"m-power", "depth-witness", "rr"}
+    assert {key[0] for key in after} == {"m-power", "depth-witness", "rr", "reg-G-upper"}
 
 
 def test_ring_level_entries_stop_changing_over_a_long_run():
@@ -381,3 +382,15 @@ def test_table_output(capsys):
     out = capsys.readouterr().out
     assert "predicate table" in out
     assert "expected match  True" in out
+
+
+def test_tool_version_is_the_project_version():
+    import fullness_lab
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert fullness_lab.__version__ == project["version"]
+    report = cli.run(corpus.load("regular_2d"), {"task": "rednum"})
+    assert report["tool"] == {"name": "fullness-lab", "version": project["version"]}

@@ -413,6 +413,24 @@ def test_verify_statements_rational_singularity():
     assert by_name["n3_equals_reduction_number_conjecture"].status == "CONSISTENT"
     assert by_name["rees_regularity_bound"].status == "HOLDS"
     assert by_name["dim1_reduction_formula"].status == "SKIPPED"
+    assert by_name["n1_le_reg_G_upper"].status == "HOLDS"
+    assert by_name["n1_le_reg_G_upper"].detail == (
+        "n1=1 = reg_G_upper=1; known_reg=8 > reg_G_upper=1"
+    )
+
+
+def test_verify_compares_n1_and_known_reg_with_the_certified_bound():
+    E = ring_4_2()
+    rep, checks = verify_statements(E, E.parse_ideal(["x"]), POLICY, known_reg=3)
+    assert rep.reg_G_upper == 3 and rep.flags["s_bound"] == rep.s_certified_up_to == 3
+    check = {c.name: c for c in checks}["n1_le_reg_G_upper"]
+    assert (check.status, check.detail) == (
+        "HOLDS", "n1=3 = reg_G_upper=3; known_reg=3 = reg_G_upper=3"
+    )
+    # rr_colon_descends reads closures up to alpha + 2, past the s-scan
+    assert {c.name: c for c in checks}["rr_colon_descends"].detail == (
+        "checked consecutive closures up to power 5"
+    )
 
 
 def test_verify_evaluates_each_predicate_once_per_ideal(monkeypatch):
