@@ -6,9 +6,9 @@ quotient (P/J)_m with m the ideal of the variables:
 * exact Groebner-basis ideal arithmetic (products, intersections, colons),
   with equality decided in the local sense;
 * the m-full / full / weakly m-full predicates;
-* reduction numbers, Ratliff-Rush closures via ascending colon chains, the
-  index s(m), and the asymptotic indices n1, n2, n3 with their exact
-  termination certificate alpha = max(r, s - 1).
+* reduction numbers, certified Ratliff-Rush closures (one kernel on
+  standard monomials each), the index s(m), and the asymptotic indices
+  n1, n2, n3 with their exact termination certificate alpha = max(r, s - 1).
 """
 from .polyring import (
     EQ,

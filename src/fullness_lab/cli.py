@@ -3,11 +3,11 @@
 Problems are JSON files describing a ring presentation, named ideals, a
 task, and options; reports are JSON (default) or a plain-text table.  Exit
 codes: 0 success, 1 input error, 2 mathematical error (not a reduction,
-chain/degree cap, failed depth probe).
+no Ratliff-Rush certificate within rr_j_cap, degree cap, failed depth
+probe).
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import signal
@@ -24,7 +24,6 @@ from .idealcalc import (
     IdealcalcError,
     QuotientRing,
     ideal_colon,
-    ideal_equal_local,
 )
 from .invariants import (
     DEFAULT_RR_JCAP,
@@ -297,12 +296,13 @@ def _dispatch(
         )
         return {
             "n": n,
-            "window": record.window,
+            "window": options.get("rr_window", DEFAULT_RR_WINDOW),
             "stabilized_at": record.stabilized_at,
             "chain_length": len(record.chain),
+            "certificate_j": record.j,
             "stable_value_generators": [str(g) for g in record.stable_value.gb.basis],
-            "equals_power": ideal_equal_local(record.stable_value, ring.m_power(n)),
-            "certified": record.certified,
+            "equals_power": record.j == 0,
+            "certified": True,
         }
     if task == "rednum":
         ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
@@ -381,6 +381,8 @@ def _alarm_handler(signum, frame):
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: `run` never needs it
+
     parser = argparse.ArgumentParser(
         prog="fullness-lab",
         description="Asymptotic fullness invariants of ideals in local rings",

@@ -144,8 +144,16 @@ def _standard_monomials(N: IdealHandle) -> dict[Monomial, int] | None:
     return index
 
 
-def _rank(rows: list[dict], field) -> int:
-    """Rank of sparse rows, by elimination on each row's largest column."""
+def _standard_monomials_of(N: IdealHandle) -> dict[Monomial, int] | None:
+    """`_standard_monomials(N)`, kept by the ring's memo for the request:
+    the m-full test of a table rung and the full test of the next share N,
+    and Ratliff-Rush closures read the powers of m."""
+    return N.ring.memo(("standard-monomials", N.gb.basis), lambda: _standard_monomials(N))
+
+
+def _echelon(rows: list[dict], field) -> dict:
+    """Echelon form of sparse rows, keyed by each row's largest column, by
+    elimination on that column.  The rows are consumed."""
     p, pivots = field.characteristic, {}
     for row in rows:
         while row:
@@ -164,7 +172,26 @@ def _rank(rows: list[dict], field) -> int:
                     row[k] = s
                 else:
                     del row[k]
-    return len(pivots)
+    return pivots
+
+
+def _rank(rows: list[dict], field) -> int:
+    """Rank of sparse rows."""
+    return len(_echelon(rows, field))
+
+
+def _kernel(rows: list[dict], field) -> list[dict]:
+    """A basis of the combinations {i: c} of the rows that vanish.
+
+    Row i carries the tag column -1 - i, below every column of the rows, so
+    a row that eliminates to its tags becomes a pivot on a tag column: the
+    tags of those pivots are the kernel, and the other pivots the rank.
+    """
+    tagged = [{**row, -1 - i: field.one} for i, row in enumerate(rows)]
+    return [
+        {-1 - k: c for k, c in pivot.items()}
+        for col, pivot in _echelon(tagged, field).items() if col < 0
+    ]
 
 
 def _equation(I: IdealHandle, predicate: str):
@@ -183,8 +210,7 @@ def _equation(I: IdealHandle, predicate: str):
         N, T = I, ideal_colon(I, m)
     else:
         raise FullnessError(f"unknown predicate {predicate!r}")
-    # The m-full test of a table rung and the full test of the next share N.
-    index = I.ring.memo(("standard-monomials", N.gb.basis), lambda: _standard_monomials(N))
+    index = _standard_monomials_of(N)
     if index is None:
         return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
     amb = I.ring.ambient

@@ -11,25 +11,31 @@ closed.  This equality is what lets a finite scan certify quantities that
 are defined by "for all n >= t": the n2 scan only needs the window
 [0, alpha] because m-fullness of I m^n forces fullness of I m^{n+1}.
 
-Ratliff-Rush closures are computed as stable values of the ascending colon
-chain m^{n+j} : m^j.  Chain stabilization is detected by a window of equal
-consecutive terms, which is a heuristic (colon chains can pause); the exact
-downstream cross-check (weak m-fullness must fail at alpha - 1) is used to
-validate alpha, and reports carry explicit certification flags.  The scan
-stops at a certified rho >= reg G(m): s - 1 <= n1 <= reg R(m) = reg G(m)
-(Trung, Trans. AMS 1998), so every power that is not closed is at most rho.
+The s-scan stops at a certified rho >= reg G(m): s - 1 <= n1 <= reg R(m) =
+reg G(m) (Trung, Trans. AMS 1998), so every power that is not closed is at
+most rho.  The same bound makes each Ratliff-Rush closure exact: m^(rho+1)
+is closed, so the closure of m^n lies in m^(rho+1) : x^(rho+1-n) for any x
+in m, which is one kernel on standard monomials, and a normal-form check
+that it times m^j lies in m^(n+j) proves the reverse inclusion when x is
+superficial (Rossi and Swanson, Contemp. Math. 331, 2003).  The exact downstream cross-check
+(weak m-fullness must fail at alpha - 1) revalidates alpha, and reports
+carry explicit certification flags.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from math import comb
 
 from .fullness import (
+    DEFAULT_TRIALS,
     GenericElementPolicy,
     PredicateResult,
+    _kernel,
     _rank,
+    _standard_monomials_of,
     is_full,
     is_m_full,
     is_weakly_m_full,
@@ -40,7 +46,6 @@ from .idealcalc import (
     IdealHandle,
     QuotientRing,
     ideal_colon,
-    ideal_contains_local_ideal,
     ideal_equal_local,
     ideal_product,
     is_nonzerodivisor,
@@ -110,8 +115,10 @@ def regularity_bound(cone: GroebnerBasis, forms: Iterator[Polynomial], degree_ca
     1.10(b)).  Let d be at least the top degree of a minimal generator.  If
     forms h_1, h_2, ... are each injective from degree d to d + 1 of
     P/(J*, h_1..h_(i-1)) until that quotient is zero in degree d, then
-    reg J* <= d and rho = d - 1.  Each test is a rank on standard monomials;
-    any forms are sound, unlucky ones only make rho larger."""
+    reg J* <= d and rho = d - 1.  Each test is a rank on standard monomials.
+    Any forms are sound: one that fails is not used, and up to
+    DEFAULT_TRIALS are drawn for each place of the sequence; unlucky draws
+    only make rho larger."""
     amb, leads = cone.ring, [g.lead_monomial for g in cone.basis]
     if not leads:
         return 0
@@ -134,12 +141,16 @@ def regularity_bound(cone: GroebnerBasis, forms: Iterator[Polynomial], degree_ca
 
     def certifies(d: int) -> bool:
         low, high, high_rank = [], [], 0  # the rows of (h_1..h_(i-1)) in degrees d, d + 1
-        # left, the quotient's dimension in degree d, falls with each injective h
+        # left, the quotient's dimension in degree d, falls with each injective h;
+        # a form that is not injective is dropped, and the next one drawn
         while left := len(std(d)) - rank(low):
-            h = next(forms)
-            low, high = low + images(h, d), high + images(h, d + 1)
-            if rank(high) - high_rank != left:
+            for _ in range(DEFAULT_TRIALS):
+                h = next(forms)
+                if rank(high + images(h, d + 1)) - high_rank == left:
+                    break
+            else:
                 return False
+            low, high = low + images(h, d), high + images(h, d + 1)
             high_rank += left
         return True
 
@@ -230,14 +241,57 @@ def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> Reduct
 
 @dataclass(frozen=True)
 class RRChainRecord:
-    """The ascending chain m^{n+j} : m^j with its stabilization evidence."""
+    """The Ratliff-Rush closure of m^n with its certificate: the closure
+    times m^j lies in m^(n+j), and j is the least such power, so j = 0
+    exactly when m^n is closed.  It reads as a chain of one term that
+    stabilizes at once."""
 
     n: int
-    chain: tuple[IdealHandle, ...]
     stable_value: IdealHandle
-    window: int
-    certified: bool
-    stabilized_at: int
+    j: int
+    stabilized_at = 1
+
+    @property
+    def chain(self) -> tuple[IdealHandle, ...]:
+        return (self.stable_value,)
+
+
+def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainRecord | None:
+    """The closure of m^n: m^n itself if n > rho, else K = (J + m^N) :
+    x^(N-n) with N = rho + 1 once certified, or None if x fails.
+
+    m^N is closed (s <= rho + 1), so for any x in m the closure of m^n
+    times x^(N-n) lies in m^N: the closure lies in K.  K contains J + m^n,
+    and K / (J + m^n) is the kernel of v -> x^(N-n) v from P/(J + m^n) to
+    P/(J + m^N), a kernel on standard monomials.  If K m^j lies in m^(n+j)
+    for some j, K lies in the closure, so it is the closure.  The closure
+    is m^N : m^(N-n), so j = N - n is the last to try: K passes there iff
+    it is the closure, which a superficial x always gives (Heinzer, Lantz
+    and Shah 1992).
+    """
+    N, amb, low = reg_G_upper(ring) + 1, ring.ambient, ring.m_power(n)
+    if n >= N:
+        return RRChainRecord(n, low, 0)
+    high = ring.m_power(N)
+    domain, target = list(_standard_monomials_of(low)), _standard_monomials_of(high)
+
+    def image(u: Monomial) -> dict:
+        v = amb.monomial(u)
+        for _ in range(N - n):
+            v = normal_form(x * v, high.gb)
+        return {target[w]: c for w, c in v.terms}
+
+    kernel = _kernel([image(u) for u in domain], amb.field)
+    lifts = [amb.from_dict({domain[i]: c for i, c in vector.items()}) for vector in kernel]
+    closure = IdealHandle(ring, [*low.gb.basis, *lifts]) if lifts else low
+    for j in range(N - n + 1):
+        top = ring.m_power(n + j).gb
+        if all(
+            normal_form(g * amb.monomial(w), top).is_zero()
+            for w in monomials_of_degree(amb.nvars, j) for g in lifts
+        ):
+            return RRChainRecord(n, closure, j)
+    return None
 
 
 def ratliff_rush_power(
@@ -247,54 +301,39 @@ def ratliff_rush_power(
     j_cap: int = DEFAULT_RR_JCAP,
     policy: GenericElementPolicy | None = None,
 ) -> RRChainRecord:
-    """Candidate Ratliff-Rush closure of m^n as the stable value of the
-    ascending colon chain.
+    """The Ratliff-Rush closure of m^n, exact and certified.
 
-    The chain is provably increasing; that is asserted at every step.  A run
-    of `window` equal consecutive terms stops the scan, but since colon
-    chains may pause, the record is marked certified=False.  Records of
-    m-powers depend on the ring alone and are kept by it.
+    Powers above rho = `reg_G_upper` are closed; the others take one kernel
+    on standard monomials (`_certified_closure`), with the depth witness as
+    x and then up to DEFAULT_TRIALS forms drawn from a seed of the
+    presentation, until one is certified; if none is, ChainCapExceeded is
+    raised.  So is a certificate that needs j > j_cap.  `window` is
+    validated and otherwise unused: the closure does not depend on it.
+    Records depend on the ring alone and are kept by it.
     """
     if n < 1:
         raise InvariantError("ratliff_rush_power needs a positive power")
     if window < 2:
         raise InvariantError("stabilization window must be at least 2")
-    depth_witness(ring, policy)
+    x = depth_witness(ring, policy)
 
     def build() -> RRChainRecord:
-        chain: list[IdealHandle] = []
-        matches = 1
-        for j in range(1, j_cap + 1):
-            # m^(n+j) : m^j as j colons by m; the memo shares the steps
-            # between chains.
-            term = ring.m_power(n + j)
-            for _ in range(j):
-                term = ideal_colon(term, ring.maximal_ideal())
-            if chain:
-                if not ideal_contains_local_ideal(term, chain[-1]):
-                    raise InvariantError(
-                        "colon chain failed to ascend; this indicates an engine bug"
-                    )
-                if ideal_equal_local(term, chain[-1]):
-                    matches += 1
-                else:
-                    matches = 1
-            chain.append(term)
-            if matches >= window:
-                return RRChainRecord(
-                    n=n,
-                    chain=tuple(chain),
-                    stable_value=term,
-                    window=window,
-                    certified=False,
-                    stabilized_at=j - window + 1,
-                )
+        rng = GenericElementPolicy().rng(f"rr:{n}:{ring!r}")
+        drawn = (sample_linear_form(ring, rng) for _ in range(DEFAULT_TRIALS))
+        for w in chain([x], drawn):
+            if record := _certified_closure(ring, n, w):
+                return record
         raise ChainCapExceeded(
-            f"colon chain for power {n} showed no window of {window} equal terms "
-            f"within j <= {j_cap}"
+            f"no certificate for the closure of m^{n}: the depth witness and "
+            f"{DEFAULT_TRIALS} drawn forms are not superficial"
         )
 
-    return ring.memo(("rr", n, window, j_cap), build)
+    record = ring.memo(("rr", n), build)
+    if record.j > j_cap:
+        raise ChainCapExceeded(
+            f"the closure of m^{n} is certified at j = {record.j}, above rr_j_cap = {j_cap}"
+        )
+    return record
 
 
 @dataclass(frozen=True)
@@ -322,7 +361,7 @@ def s_index(
     for i in range(1, bound + 1):
         record = ratliff_rush_power(ring, i, window=window, j_cap=j_cap, policy=policy)
         records.append(record)
-        if not ideal_equal_local(record.stable_value, ring.m_power(i)):
+        if record.j:
             s = i + 1
     return SIndexResult(s=s, certified_up_to=bound, records=tuple(records))
 
@@ -404,10 +443,10 @@ def dao_numbers(
 
     n1 = n3 = alpha = max(r, s-1) exactly; n2 is found by scanning fullness
     of I m^n over n in [0, alpha], which suffices because beyond alpha the
-    m-fullness of the previous power forces fullness.  The exact weak-m-full
-    failure at alpha-1 revalidates alpha against the heuristic part of the
-    s-computation.  Without an `s_bound`, the s-scan covers the powers
-    1..max(rho, 1), rho the ring's `reg_G_upper`.
+    m-fullness of the previous power forces fullness.  Without an
+    `s_bound`, the s-scan covers the powers 1..max(rho, 1), rho the ring's
+    `reg_G_upper`, and its closures are exact, so s is.  The exact weak-m-full
+    failure at alpha-1 revalidates alpha against a given `s_bound`.
     """
     ring = I.ring
     policy = policy or GenericElementPolicy()
@@ -426,7 +465,7 @@ def dao_numbers(
         "trials": policy.trials,
         "rr_window": rr_window,
         "s_bound": bound,
-        "rr_certified": False,
+        "rr_certified": True,
     }
     table = _table_rows(I, r, policy, range(alpha + 2))
 
@@ -445,8 +484,8 @@ def dao_numbers(
     flags["alpha_validated"] = alpha_ok
     if not alpha_ok:
         flags["warning"] = (
-            "predicate table contradicts alpha; the Ratliff-Rush window or "
-            "s-scan bound is too small -- increase rr_window / s_bound"
+            "predicate table contradicts alpha; a given s_bound can stop the "
+            "s-scan below s -- increase s_bound or leave it unset"
         )
     if n2 > alpha:
         flags["n2_scan_discrepancy"] = True

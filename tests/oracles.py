@@ -6,11 +6,18 @@ products, componentwise max for intersections, saturation by gcd for
 colons), and low-degree colon membership can be decided by linear algebra
 over F_p.  These stay deliberately separate from the library code paths
 they validate.
+
+The last section is the exception: the ascending Ratliff-Rush colon chain
+m^(n+j) : m^j, built from the library's Groebner colons, is the reference
+for the closures of `invariants.ratliff_rush_power`, which are kernels on
+standard monomials and call no colon.
 """
 from __future__ import annotations
 
 import random
 from itertools import product as iter_product
+
+from fullness_lab.idealcalc import ideal_colon, ideal_equal_local
 
 
 # -- monomial-ideal arithmetic on exponent tuples ---------------------------
@@ -147,3 +154,23 @@ def linear_colon_kernel(
 
 def poly_in_monomial_ideal(poly: dict, ideal_gens: tuple) -> bool:
     return all(any(m_divides(g, m) for g in ideal_gens) for m in poly)
+
+
+# -- the Ratliff-Rush colon chain (library colons) ----------------------------
+
+def rr_chain(ring, n: int, window: int = 3, j_cap: int = 25) -> list:
+    """The terms m^(n+j) : m^j for j = 1, 2, ... up to the first `window`
+    equal consecutive ones, whose value is the chain's guess at the closure
+    of m^n.  The chain ascends to the closure, but it can pause, so a short
+    window can stop below it.  Each term is j colons by m, which the ring's
+    memo shares between chains."""
+    chain, matches = [], 1
+    for j in range(1, j_cap + 1):
+        term = ring.m_power(n + j)
+        for _ in range(j):
+            term = ideal_colon(term, ring.maximal_ideal())
+        matches = matches + 1 if chain and ideal_equal_local(term, chain[-1]) else 1
+        chain.append(term)
+        if matches >= window:
+            return chain
+    raise AssertionError(f"no window of {window} equal terms for power {n} within j <= {j_cap}")

@@ -156,12 +156,14 @@ class ChainStats:
     pairs_checked: int = 0
     ascent_violations: list = field(default_factory=list)
     claim_violations: list = field(default_factory=list)
+    closure_mismatches: list = field(default_factory=list)
 
 
 def run_rr_chain_suite(rings: dict, top_power: int, seed: int) -> ChainStats:
-    """Ratliff-Rush chains on fixed positive-depth rings: every chain must
-    ascend, and closing one power higher then coloning by m must descend to
-    the closure below."""
+    """Ratliff-Rush closures on fixed positive-depth rings, against the
+    colon chain of `oracles.rr_chain`: every chain must ascend to the
+    closure, and closing one power higher then coloning by m must descend
+    to the closure below."""
     policy = GenericElementPolicy(trials=8, seed=seed)
     stats = ChainStats()
     for label, ring in rings.items():
@@ -169,11 +171,14 @@ def run_rr_chain_suite(rings: dict, top_power: int, seed: int) -> ChainStats:
         for n in range(1, top_power + 1):
             record = ratliff_rush_power(ring, n, policy=policy)
             records.append(record)
-            for earlier, later in zip(record.chain, record.chain[1:]):
+            chain = oracles.rr_chain(ring, n)
+            for earlier, later in zip(chain, chain[1:]):
                 stats.pairs_checked += 1
                 ok = all(ideal_contains_local(later, g) for g in earlier.gb.basis)
                 if not ok:
                     stats.ascent_violations.append((label, n))
+            if not ideal_equal_local(chain[-1], record.stable_value):
+                stats.closure_mismatches.append((label, n))
         m = ring.maximal_ideal()
         for lower, upper in zip(records, records[1:]):
             stats.pairs_checked += 1

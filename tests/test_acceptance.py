@@ -114,11 +114,12 @@ def test_criterion_4_randomized_theorem_suite():
     chains = suites.run_rr_chain_suite(rings, top_power=4, seed=77)
     assert chains.ascent_violations == []
     assert chains.claim_violations == []
+    assert chains.closure_mismatches == []
     _report(
         f"criterion 4: PASS  {stats.cases} predicate cases on 200 random ideals "
         f"(0 certified violations, {len(stats.uncertified_discrepancies)} uncertified "
         f"discrepancies), {chains.pairs_checked} chain pairs (0 ascent / 0 colon-identity "
-        "violations)"
+        "violations, closures equal the chains' values)"
     )
 
 

@@ -86,9 +86,11 @@ def test_colon_and_gb_and_rr_tasks():
     assert "x" in gb["results"]["basis"]
     col = cli.run(dict(problem, options={"colon_a": "A", "colon_b": "m"}), {"task": "colon"})
     assert col["results"]["generators"]
-    rr = cli.run(dict(problem, options={"rr_n": 2}), {"task": "rr"})
+    rr = cli.run(dict(problem, options={"rr_n": 2, "rr_window": 5}), {"task": "rr"})
     assert rr["results"]["equals_power"] is False
     assert sorted(rr["results"]["stable_value_generators"]) == ["x*y", "x^2", "y^2", "z"]
+    assert rr["results"]["certified"] is True and rr["results"]["certificate_j"] == 1
+    assert rr["results"]["window"] == 5
 
 
 def test_verify_task_emits_checks():

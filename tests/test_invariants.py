@@ -1,8 +1,10 @@
-"""Tests for reduction numbers, Ratliff-Rush chains, s-index, and the
+"""Tests for reduction numbers, Ratliff-Rush closures, s-index, and the
 asymptotic indices."""
 
 import collections
 import functools
+import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -12,11 +14,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
+from fullness_lab import cli, corpus
 from fullness_lab.fullness import GenericElementPolicy, is_full, is_m_full, is_weakly_m_full
 from fullness_lab.groebner import normal_form
 from fullness_lab.idealcalc import (
     QuotientRing,
+    ideal_contains_local_ideal,
     ideal_equal_local,
+    ideal_product,
     times_m_power,
 )
 from fullness_lab.invariants import (
@@ -27,6 +32,7 @@ from fullness_lab.invariants import (
     depth_witness,
     ratliff_rush_power,
     reduction_number,
+    reg_G_upper,
     s_index,
     verify_statements,
 )
@@ -115,8 +121,12 @@ def test_reduction_number_matches_local_equality(ring, gens, r):
 def test_reduction_number_decides_on_ideals_that_contain_a_power_of_m(monkeypatch):
     from fullness_lab import invariants
 
+    # invariants does not import ideal_contains_local_ideal; the guard is
+    # set anyway, so that an import of it cannot go unnoticed here.
     for name in ("ideal_equal_local", "ideal_contains_local_ideal"):
-        monkeypatch.setattr(invariants, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+        monkeypatch.setattr(
+            invariants, name, lambda *a, _n=name: pytest.fail(f"{_n} called"), raising=False
+        )
     seen = []
 
     def record(K, k, _original=invariants._contains_m_power):
@@ -133,7 +143,7 @@ def test_reduction_number_decides_on_ideals_that_contain_a_power_of_m(monkeypatc
         assert all(normal_form(g, K.gb).is_zero() for g in E.m_power(k + 1).gens)
 
 
-# -- Ratliff-Rush chains -----------------------------------------------------
+# -- Ratliff-Rush closures ---------------------------------------------------
 
 def test_rr_stable_value_semigroup_square():
     E = ring_4_2()
@@ -141,13 +151,11 @@ def test_rr_stable_value_semigroup_square():
     target = E.parse_ideal(["x^2", "x*y", "y^2", "z"])
     assert ideal_equal_local(record.stable_value, target)
     assert not ideal_equal_local(record.stable_value, E.m_power(2))
-    assert record.certified is False
-    assert record.window == 3
-    for earlier, later in zip(record.chain, record.chain[1:]):
-        for g in earlier.gb.basis:
-            from fullness_lab.idealcalc import ideal_contains_local
-
-            assert ideal_contains_local(later, g)
+    # The certificate: the closure times m lies in m^3.
+    assert record.j == 1
+    closure_times_m = ideal_product(record.stable_value, E.maximal_ideal())
+    assert ideal_contains_local_ideal(E.m_power(3), closure_times_m)
+    assert record.chain == (record.stable_value,) and record.stabilized_at == 1
 
 
 def test_rr_closed_in_regular_ring():
@@ -164,8 +172,84 @@ def test_rr_window_validation():
 
 
 def test_rr_chain_cap():
+    # The closure of m^2 on example_4_3 is certified at j = 6, so the cap
+    # decides whether it is returned, also once the ring keeps the record.
+    ring = cli.build_ring(corpus.load("example_4_3"))
     with pytest.raises(ChainCapExceeded):
-        ratliff_rush_power(REG2, 1, window=4, j_cap=3, policy=POLICY)
+        ratliff_rush_power(ring, 2, j_cap=5, policy=POLICY)
+    assert ratliff_rush_power(ring, 2, j_cap=6, policy=POLICY).j == 6
+    with pytest.raises(ChainCapExceeded):
+        ratliff_rush_power(ring, 2, j_cap=5, policy=POLICY)
+    assert ratliff_rush_power(ring, 2, window=7, policy=POLICY).j == 6
+
+
+def _fast_corpus_rings():
+    specs = {}
+    for entry in corpus.listing():
+        problem = corpus.load(entry["name"])
+        if not entry["slow"]:
+            specs.setdefault(json.dumps(problem["ring"], sort_keys=True), entry["name"])
+    return sorted(specs.values())
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+@pytest.mark.parametrize("name", _fast_corpus_rings())
+def test_rr_closure_equals_the_colon_chain(name, characteristic):
+    problem = corpus.load(name)
+    problem["ring"]["characteristic"] = characteristic
+    ring = cli.build_ring(problem)
+    for n in range(1, reg_G_upper(ring) + 3):
+        record = ratliff_rush_power(ring, n, policy=POLICY)
+        chain = oracles.rr_chain(ring, n)
+        assert ideal_equal_local(record.stable_value, chain[-1]), (name, characteristic, n)
+
+
+def test_rr_a_witness_that_is_not_superficial_is_never_certified(monkeypatch):
+    # z is regular on this domain, but its initial form kills m in G(m):
+    # (m^4 : z^(4-n)) is larger than the closure, so no certificate holds.
+    from fullness_lab import invariants
+
+    amb = PolyRing(["x", "y", "z"], P32)
+    E = QuotientRing(amb, [amb.parse(s) for s in ["y^3 - x*z", "x^4 - y*z", "x^3*y^2 - z^2"]])
+    z = amb.parse("z")
+    assert [invariants._certified_closure(E, n, z) for n in (1, 2, 3)] == [None] * 3
+    # As the depth witness, z is followed by drawn forms, which certify ...
+    E.memo(("depth-witness",), lambda: z)
+    record = ratliff_rush_power(E, 2, policy=POLICY)
+    assert (record.j, sorted(map(str, record.stable_value.gb.basis))) == (1, ["x*y", "x^2", "y^2", "z"])
+    # ... unless every draw fails too: then no closure is returned.
+    monkeypatch.setattr(invariants, "sample_linear_form", lambda ring, rng: z)
+    with pytest.raises(ChainCapExceeded, match="not superficial"):
+        ratliff_rush_power(E, 3, policy=POLICY)
+    assert ("rr", 3) not in E._op_cache
+
+
+def test_rr_draws_again_where_the_depth_witness_is_not_superficial():
+    # Over F_2 the depth witness of example_4_1_234 is x, and (m^5 : x^3) is
+    # larger than the closure of m^2; drawn forms certify every closure.
+    from fullness_lab import invariants
+
+    spec = corpus.load("example_4_1_234")["ring"]
+    amb = PolyRing(spec["variables"], PrimeField(2))
+    E = QuotientRing(amb, [amb.parse(f) for f in spec["relations"]])
+    x = depth_witness(E)
+    assert str(x) == "x" and invariants._certified_closure(E, 2, x) is None
+    for n in range(1, reg_G_upper(E) + 2):
+        record = ratliff_rush_power(E, n)
+        assert ideal_equal_local(record.stable_value, oracles.rr_chain(E, n)[-1]), n
+
+
+@pytest.mark.skipif(os.environ.get("RUN_SLOW") != "1", reason="runs only with RUN_SLOW=1")
+def test_rr_closures_of_the_stretch_case_exceed_the_window_chain():
+    ring = cli.build_ring(corpus.load("example_4_3"))
+    for n in (2, 3, 4):
+        closure = ratliff_rush_power(ring, n, policy=POLICY).stable_value
+        stopped = oracles.rr_chain(ring, n, window=3)[-1]
+        assert ideal_contains_local_ideal(closure, stopped), n
+        assert not ideal_equal_local(closure, stopped), n
+    report = cli.run(corpus.load("example_4_3"), {"task": "verify"})
+    checks = {c["name"]: c["status"] for c in report["results"]["checks"]}
+    assert checks["rr_colon_descends"] == "HOLDS"
 
 
 # -- s index -----------------------------------------------------------------
@@ -186,8 +270,6 @@ def test_s_index_reports_bound():
 def test_closure_contains_power_and_agrees_beyond_s():
     # The stable value always contains the power it closes; from s onward
     # the two coincide (within the scanned bound).
-    from fullness_lab.idealcalc import ideal_contains_local_ideal
-
     E = ring_4_2()
     res = s_index(E, 5, policy=POLICY)
     for record in res.records:

@@ -42,6 +42,7 @@ def test_rr_chain_suite_small():
     stats = suites.run_rr_chain_suite(rings, top_power=3, seed=11)
     assert stats.ascent_violations == []
     assert stats.claim_violations == []
+    assert stats.closure_mismatches == []
     assert stats.pairs_checked > 0
 
 

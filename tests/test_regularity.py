@@ -70,6 +70,22 @@ def test_degenerate_forms_never_bound_below_the_true_regularity(name):
             assert rho >= RHO[name], (str(v), rho)
 
 
+# rho over small fields, where a form is often not injective and is drawn
+# again rather than ending the degree; over F_32003 nothing changes.
+SMALL_FIELDS = [
+    ("example_4_1", 3, 1),
+    ("example_4_1", 5, 2),
+    ("example_4_1_234", 3, 1),
+    ("example_4_1_234", 5, 1),
+    ("example_4_2_I", 5, 3),
+]
+
+
+@pytest.mark.parametrize("name, characteristic, rho", SMALL_FIELDS)
+def test_rho_over_small_fields_draws_again_after_a_failed_form(name, characteristic, rho):
+    assert reg_G_upper(_ring(name, characteristic)) == rho
+
+
 def test_forms_that_kill_everything_run_into_the_degree_cap():
     # z annihilates m in G(m) of example_4_2, so no degree is certified.
     ring = _ring("example_4_2_I", 32003)

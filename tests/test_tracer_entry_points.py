@@ -1,7 +1,7 @@
 """The benchmark tracer (`perfbench/tracing.py`) wraps library functions by
-module and name, and reads each ring's memo as `_op_cache`.  Each of them
-must exist, so that renaming one fails here rather than in the next traced
-benchmark run."""
+module and name, reads each ring's memo as `_op_cache`, and reads the
+fields of a Ratliff-Rush record.  Each of them must exist, so that renaming
+one fails here rather than in the next traced benchmark run."""
 
 import importlib
 import importlib.util
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fullness_lab.idealcalc import QuotientRing, ideal_product
+from fullness_lab.invariants import ratliff_rush_power
 from fullness_lab.polyring import QQ, PolyRing
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -44,3 +45,15 @@ def test_traced_memo_is_the_rings_op_cache():
     after_miss = len(ring._op_cache)
     ideal_product(m, m)
     assert after_miss > before and len(ring._op_cache) == after_miss
+
+
+def test_traced_rr_observer_reads_a_real_record():
+    # The observer counts the record's chain terms and the terms after its
+    # stable value appeared; a closure is one term that is stable at once.
+    amb = PolyRing(["x", "y", "z"], QQ)
+    ring = QuotientRing(amb, [amb.parse(s) for s in ["y^3 - x*z", "x^4 - y*z", "x^3*y^2 - z^2"]])
+    tracer = tracing.Tracer()
+    observe = tracing._observe_rr(tracer)
+    args = (ring, 2)
+    observe(args, ratliff_rush_power(*args), observe(args, None, None))
+    assert tracer.counters == {"rr_chain.terms": 1, "rr_chain.confirm": 0}
