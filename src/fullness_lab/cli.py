@@ -3,8 +3,8 @@
 Problems are JSON files describing a ring presentation, named ideals, a
 task, and options; reports are JSON (default) or a plain-text table.  Exit
 codes: 0 success, 1 input error, 2 mathematical error (not a reduction,
-no Ratliff-Rush certificate within rr_j_cap, degree cap, failed depth
-probe).
+no Ratliff-Rush certificate or one beyond rr_j_cap, degree cap, failed
+depth probe).
 """
 from __future__ import annotations
 

@@ -146,11 +146,11 @@ def regularity_bound(cone: GroebnerBasis, forms: Iterator[Polynomial], degree_ca
         while left := len(std(d)) - rank(low):
             for _ in range(DEFAULT_TRIALS):
                 h = next(forms)
-                if rank(high + images(h, d + 1)) - high_rank == left:
+                if rank(high + (h_high := images(h, d + 1))) - high_rank == left:
                     break
             else:
                 return False
-            low, high = low + images(h, d), high + images(h, d + 1)
+            low, high = low + images(h, d), high + h_high
             high_rank += left
         return True
 
