@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .groebner import normal_form
 from .idealcalc import (
     IdealHandle,
     QuotientRing,
+    _rank,
     ideal_colon,
     ideal_equal_local,
     ideal_product,
+    quotient_view,
 )
-from .polyring import Monomial, Polynomial, PolyringError
+from .polyring import Polynomial, PolyringError
 
 DEFAULT_TRIALS = 5
 DEFAULT_SEED = 20260808
@@ -40,16 +42,20 @@ class FullnessError(PolyringError):
     pass
 
 
-@dataclass(frozen=True)
-class GenericElementPolicy:
-    """How to model "a general element of m \\ m^2"."""
-
+class _Policy(NamedTuple):
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise FullnessError(f"trials must be an integer of at least 1, got {self.trials!r}")
+
+class GenericElementPolicy(_Policy):
+    """How to model "a general element of m \\ m^2"."""
+
+    __slots__ = ()
+
+    def __new__(cls, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED):
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            raise FullnessError(f"trials must be an integer of at least 1, got {trials!r}")
+        return super().__new__(cls, trials, seed)
 
     def rng(self, label: str) -> random.Random:
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
@@ -60,8 +66,7 @@ class GenericElementPolicy:
         return GenericElementPolicy(self.trials, int.from_bytes(digest[8:16], "big"))
 
 
-@dataclass(frozen=True)
-class PredicateResult:
+class PredicateResult(NamedTuple):
     value: bool
     witness: Polynomial | None
     certified: bool
@@ -112,95 +117,13 @@ def is_weakly_m_full(I: IdealHandle) -> PredicateResult:
     return PredicateResult(value, None, certified=True, trials_used=0)
 
 
-def _standard_monomials(N: IdealHandle) -> dict[Monomial, int] | None:
-    """The standard monomials of N.gb, numbered, or None unless P/N = R/N.
-
-    That holds exactly when N.gb has finitely many standard monomials (a
-    pure power of each variable is a lead) and every variable is nilpotent
-    on P/N, so that N contains a power of m.  The normal forms of x_i * u
-    for standard u list them all.
-    """
-    amb = N.ring.ambient
-    leads = [g.lead_monomial for g in N.gb.basis]
-    if len({m.index(max(m)) for m in leads if max(m) == sum(m) > 0}) < amb.nvars:
-        return None
-    std = [amb.one().lead_monomial]
-    index = {std[0]: 0}
-    for u in std:  # std grows while it is read, until closed under the x_i
-        for x in amb.gens():
-            for v, _ in normal_form(x * amb.monomial(u), N.gb).terms:
-                if v not in index:
-                    index[v] = len(std)
-                    std.append(v)
-    # x is nilpotent on P/N iff x^λ lies in N, λ = len(std).
-    for x in amb.gens():
-        power = amb.one()
-        for _ in std:
-            power = normal_form(x * power, N.gb)
-            if not power:
-                break
-        else:
-            return None
-    return index
-
-
-def _standard_monomials_of(N: IdealHandle) -> dict[Monomial, int] | None:
-    """`_standard_monomials(N)`, kept by the ring's memo for the request:
-    the m-full test of a table rung and the full test of the next share N,
-    and Ratliff-Rush closures read the powers of m."""
-    return N.ring.memo(("standard-monomials", N.gb.basis), lambda: _standard_monomials(N))
-
-
-def _echelon(rows: list[dict], field) -> dict:
-    """Echelon form of sparse rows, keyed by each row's largest column, by
-    elimination on that column.  The rows are consumed."""
-    p, pivots = field.characteristic, {}
-    for row in rows:
-        while row:
-            col = max(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = field.inv(row[col])
-                pivots[col] = {k: field.mul(c, inv) for k, c in row.items()}
-                break
-            c = row[col]
-            for k, b in pivot.items():
-                s = row.get(k, 0) - c * b
-                if p:
-                    s %= p
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
-    return pivots
-
-
-def _rank(rows: list[dict], field) -> int:
-    """Rank of sparse rows."""
-    return len(_echelon(rows, field))
-
-
-def _kernel(rows: list[dict], field) -> list[dict]:
-    """A basis of the combinations {i: c} of the rows that vanish.
-
-    Row i carries the tag column -1 - i, below every column of the rows, so
-    a row that eliminates to its tags becomes a pivot on a tag column: the
-    tags of those pivots are the kernel, and the other pivots the rank.
-    """
-    tagged = [{**row, -1 - i: field.one} for i, row in enumerate(rows)]
-    return [
-        {-1 - k: c for k, c in pivot.items()}
-        for col, pivot in _echelon(tagged, field).items() if col < 0
-    ]
-
-
 def _equation(I: IdealHandle, predicate: str):
     """The test of one x in m \\ m^2 that witnesses `predicate` for I.
 
     T lies in N : x, so the test is N : x = T.  When N contains a power of
     m, R/N is finite-dimensional and length(R/(N : x)) is the rank of x on
-    R/N, so the test is that rank against length(R/T); otherwise it is the
-    Groebner colon.
+    R/N, read off the maps of N's quotient view, so the test is that rank
+    against length(R/T); otherwise it is the Groebner colon.
     """
     _validate_proper(I)
     m = I.ring.maximal_ideal()
@@ -210,19 +133,14 @@ def _equation(I: IdealHandle, predicate: str):
         N, T = I, ideal_colon(I, m)
     else:
         raise FullnessError(f"unknown predicate {predicate!r}")
-    index = _standard_monomials_of(N)
-    if index is None:
+    view = quotient_view(N)
+    if view is None:
         return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
-    amb = I.ring.ambient
     # N lies in T, so T's standard monomials are those of N no lead of T divides.
     leads = [g.lead_monomial for g in T.gb.basis]
-    length = sum(1 for u in index if not any(t.divides(u) for t in leads))
-
-    def holds(x: Polynomial) -> bool:
-        images = (normal_form(x * amb.monomial(u), N.gb).terms for u in index)
-        return _rank([{index[v]: c for v, c in f} for f in images], amb.field) == length
-
-    return holds
+    length = sum(1 for u in view.std if not any(t.divides(u) for t in leads))
+    field = I.ring.ambient.field
+    return lambda x: _rank(view.images(x), field) == length
 
 
 def _sample_witness(

@@ -6,10 +6,18 @@ so handle comparison is exact.  Equality and membership are decided in the
 LOCAL sense: a ∈ B_m iff the colon (B : a) is not contained in m, i.e. it
 contains a unit.  Since m is the ideal of the variables, "contains a unit"
 is simply "some reduced-basis element has a nonzero constant term".
+
+An ideal N of P that contains a power of m is m-primary: P/N = R/N is
+finite-dimensional, and local and global questions about N agree.  Its
+`QuotientView` numbers the standard monomials of N and keeps the maps
+M_{x_i} of multiplication by each variable on them, so that a colon N : b
+is N plus the lifts of the kernel of b· on P/N (one Buchberger run, no
+elimination), and membership in N is a normal form.  Every other colon is
+the tag-variable elimination of `_colon_single`.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -20,6 +28,7 @@ from .groebner import (
     reduce_basis,
 )
 from .polyring import (
+    Monomial,
     PolyRing,
     Polynomial,
     PolyringError,
@@ -198,6 +207,142 @@ def _check_same_ring(A: IdealHandle, B: IdealHandle):
         raise RingMismatchError("ideals live in different rings")
 
 
+class QuotientView(NamedTuple):
+    """P/N for an ideal N of P that contains a power of m: the standard
+    monomials of N.gb, numbered, and the maps M_{x_i} of multiplication by
+    each variable, maps[i][k] the coordinates of x_i times standard
+    monomial k.  A vector is a sparse dict {number: coefficient}."""
+
+    ideal: IdealHandle
+    std: list[Monomial]
+    index: dict[Monomial, int]
+    maps: list[list[dict]]
+
+    def times(self, b: Polynomial, vector: dict) -> dict:
+        """The coordinates of b·v, read off the maps with no normal form."""
+        p, out = b.ring.characteristic, {}
+        for m, c in b.terms:
+            v = vector
+            for i, e in enumerate(m):
+                for _ in range(e):
+                    v = _apply(self.maps[i], v, p)
+            _add_into(out, v, c, p)
+        return out
+
+    def images(self, b: Polynomial) -> list[dict]:
+        """The matrix of b· on P/N, one row per standard monomial."""
+        one = b.ring.field.one
+        return [self.times(b, {k: one}) for k in range(len(self.std))]
+
+    def colon(self, b: Polynomial) -> IdealHandle:
+        """N : b in P, N plus the lifts of the kernel of b· on P/N."""
+        N, amb = self.ideal, self.ideal.ring.ambient
+        kernel = _kernel(self.images(b), amb.field)
+        if not kernel:
+            return N
+        lifts = [amb.from_dict({self.std[k]: c for k, c in v.items()}) for v in kernel]
+        gb = buchberger([*N.gb.basis, *lifts], degree_cap=N.ring.degree_cap)
+        return IdealHandle._with_basis(N.ring, gb)
+
+
+def _apply(matrix: list[dict], vector: dict, p: int) -> dict:
+    """matrix times vector, the matrix given by the images of the unit vectors."""
+    out: dict = {}
+    for k, a in vector.items():
+        _add_into(out, matrix[k], a, p)
+    return out
+
+
+def _add_into(out: dict, vector: dict, c, p: int):
+    """out += c·vector, dropping the coordinates that cancel."""
+    for k, a in vector.items():
+        s = out.get(k, 0) + c * a
+        if p:
+            s %= p
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+
+
+def _quotient_view(N: IdealHandle) -> QuotientView | None:
+    """The view of P/N, or None unless N contains a power of m.
+
+    That holds exactly when N.gb has finitely many standard monomials (a
+    pure power of each variable is a lead) and every variable is nilpotent
+    on P/N.  The normal forms of x_i * u for standard u list them all, and
+    are the columns of the maps.
+    """
+    amb = N.ring.ambient
+    leads = [g.lead_monomial for g in N.gb.basis]
+    if len({m.index(max(m)) for m in leads if max(m) == sum(m) > 0}) < amb.nvars:
+        return None
+    std = [amb.one().lead_monomial]
+    index = {std[0]: 0}
+    maps: list[list[dict]] = [[] for _ in range(amb.nvars)]
+    for u in std:  # std grows while it is read, until closed under the x_i
+        for x, matrix in zip(amb.gens(), maps):
+            image = {}
+            for v, c in normal_form(x * amb.monomial(u), N.gb).terms:
+                if v not in index:
+                    index[v] = len(std)
+                    std.append(v)
+                image[index[v]] = c
+            matrix.append(image)
+    # x is nilpotent on P/N iff x^λ lies in N, λ = len(std).
+    p = amb.characteristic
+    for matrix in maps:
+        power = {0: amb.field.one}
+        for _ in std:
+            power = _apply(matrix, power, p)
+            if not power:
+                break
+        else:
+            return None
+    return QuotientView(N, std, index, maps)
+
+
+def quotient_view(N: IdealHandle) -> QuotientView | None:
+    """`_quotient_view(N)`, kept by the ring's memo for the request: the
+    colons, memberships and ranks of one N share it."""
+    return N.ring.memo(("quotient-view", N.gb.basis), lambda: _quotient_view(N))
+
+
+def _echelon(rows: list[dict], field) -> dict:
+    """Echelon form of sparse rows, keyed by each row's largest column, by
+    elimination on that column.  The rows are consumed."""
+    p, pivots = field.characteristic, {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = field.inv(row[col])
+                pivots[col] = {k: field.mul(c, inv) for k, c in row.items()}
+                break
+            _add_into(row, pivot, -row[col], p)
+    return pivots
+
+
+def _rank(rows: list[dict], field) -> int:
+    """Rank of sparse rows."""
+    return len(_echelon(rows, field))
+
+
+def _kernel(rows: list[dict], field) -> list[dict]:
+    """A basis of the combinations {i: c} of the rows that vanish.
+
+    Row i carries the tag column -1 - i, below every column of the rows, so
+    a row that eliminates to its tags becomes a pivot on a tag column: the
+    tags of those pivots are the kernel, and the other pivots the rank.
+    """
+    tagged = [{**row, -1 - i: field.one} for i, row in enumerate(rows)]
+    return [
+        {-1 - k: c for k, c in pivot.items()}
+        for col, pivot in _echelon(tagged, field).items() if col < 0
+    ]
+
+
 def ideal_product(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     """Product ideal, generated by pairwise products of effective generators."""
     _check_same_ring(A, B)
@@ -282,7 +427,9 @@ def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
-    """(A :_R B) = ∩_{b in gens(B)} ((A+J) :_P b), mapped back to R."""
+    """(A :_R B) = ∩_{b in gens(B)} ((A+J) :_P b), mapped back to R.  Each
+    A : b is a kernel on P/A when A contains a power of m, and the
+    tag-variable colon otherwise."""
     _check_same_ring(A, B)
     ring = A.ring
     gens_b = [g for g in B.gens if ring.reduce(g)]
@@ -290,10 +437,13 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
         raise IdealcalcError("colon by the zero ideal")
 
     def build():
-        numerator = list(A.gb.basis)
+        view = quotient_view(A)
         result: IdealHandle | None = None
         for b in gens_b:
-            cb = IdealHandle._with_basis(ring, _colon_single(numerator, b, ring.degree_cap))
+            if view is None:
+                cb = IdealHandle._with_basis(ring, _colon_single(A.gb.basis, b, ring.degree_cap))
+            else:
+                cb = view.colon(b)
             result = cb if result is None else ideal_intersection(result, cb)
         assert result is not None
         return result
@@ -304,14 +454,17 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
 def ideal_contains_local(B: IdealHandle, f: Polynomial) -> bool:
     """Does f belong to B after localization at m?
 
-    Global membership (zero normal form) is checked first.  Otherwise
-    f ∈ B_m iff u·f ∈ B for some u with constant term 1; writing u = 1 - v
-    with v ∈ m, that is iff f ∈ B + m·f, a global membership test.
+    Global membership (zero normal form) is checked first; when B contains
+    a power of m it is the answer.  Otherwise f ∈ B_m iff u·f ∈ B for some
+    u with constant term 1; writing u = 1 - v with v ∈ m, that is iff
+    f ∈ B + m·f, a global membership test.
     """
     if f.ring is not B.ring.ambient:
         raise RingMismatchError("element from a different ring")
     if normal_form(f, B.gb).is_zero():
         return True
+    if quotient_view(B) is not None:
+        return False
 
     def build():
         widened = list(B.gb.basis) + [x * f for x in f.ring.gens()]

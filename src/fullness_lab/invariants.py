@@ -24,18 +24,15 @@ carry explicit certification flags.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import comb
+from typing import NamedTuple
 
 from .fullness import (
     DEFAULT_TRIALS,
     GenericElementPolicy,
     PredicateResult,
-    _kernel,
-    _rank,
-    _standard_monomials_of,
     is_full,
     is_m_full,
     is_weakly_m_full,
@@ -45,10 +42,13 @@ from .groebner import DegreeCapExceeded, GroebnerBasis, buchberger, eliminate, n
 from .idealcalc import (
     IdealHandle,
     QuotientRing,
+    _kernel,
+    _rank,
     ideal_colon,
     ideal_equal_local,
     ideal_product,
     is_nonzerodivisor,
+    quotient_view,
 )
 from .polyring import Monomial, Polynomial, PolyringError, monomials_of_degree
 
@@ -175,8 +175,7 @@ def reg_G_upper(ring: QuotientRing) -> int:
     return ring.memo(("reg-G-upper",), build)
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     """Witness that I m^r = m^{r+1} locally, with r minimal."""
 
     ideal: IdealHandle
@@ -239,8 +238,7 @@ def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> Reduct
     )
 
 
-@dataclass(frozen=True)
-class RRChainRecord:
+class RRChainRecord(NamedTuple):
     """The Ratliff-Rush closure of m^n with its certificate: the closure
     times m^j lies in m^(n+j), and j is the least such power, so j = 0
     exactly when m^n is closed.  It reads as a chain of one term that
@@ -263,7 +261,8 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
     m^N is closed (s <= rho + 1), so for any x in m the closure of m^n
     times x^(N-n) lies in m^N: the closure lies in K.  K contains J + m^n,
     and K / (J + m^n) is the kernel of v -> x^(N-n) v from P/(J + m^n) to
-    P/(J + m^N), a kernel on standard monomials.  If K m^j lies in m^(n+j)
+    P/(J + m^N), a kernel on standard monomials whose images are read off
+    the maps of the quotient view of J + m^N.  If K m^j lies in m^(n+j)
     for some j, K lies in the closure, so it is the closure.  The closure
     is m^N : m^(N-n), so j = N - n is the last to try: K passes there iff
     it is the closure, which a superficial x always gives (Heinzer, Lantz
@@ -273,13 +272,14 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
     if n >= N:
         return RRChainRecord(n, low, 0)
     high = ring.m_power(N)
-    domain, target = list(_standard_monomials_of(low)), _standard_monomials_of(high)
+    domain, target = quotient_view(low).std, quotient_view(high)
+    one = amb.field.one
 
     def image(u: Monomial) -> dict:
-        v = amb.monomial(u)
+        v = {target.index[u]: one}
         for _ in range(N - n):
-            v = normal_form(x * v, high.gb)
-        return {target[w]: c for w, c in v.terms}
+            v = target.times(x, v)
+        return v
 
     kernel = _kernel([image(u) for u in domain], amb.field)
     lifts = [amb.from_dict({domain[i]: c for i, c in vector.items()}) for vector in kernel]
@@ -336,8 +336,7 @@ def ratliff_rush_power(
     return record
 
 
-@dataclass(frozen=True)
-class SIndexResult:
+class SIndexResult(NamedTuple):
     """Least power from which all computed m-powers are Ratliff-Rush closed."""
 
     s: int
@@ -366,16 +365,14 @@ def s_index(
     return SIndexResult(s=s, certified_up_to=bound, records=tuple(records))
 
 
-@dataclass(frozen=True)
-class PredicateRow:
+class PredicateRow(NamedTuple):
     n: int
     m_full: PredicateResult
     full: PredicateResult
     weakly_m_full: PredicateResult
 
 
-@dataclass(frozen=True)
-class DaoReport:
+class DaoReport(NamedTuple):
     """Complete record of one asymptotic-fullness computation."""
 
     r: int
@@ -509,8 +506,7 @@ def dao_numbers(
     )
 
 
-@dataclass(frozen=True)
-class StatementCheck:
+class StatementCheck(NamedTuple):
     name: str
     status: str  # HOLDS / VIOLATION / DISCREPANCY-UNCERTIFIED / CONSISTENT / VIOLATION-CANDIDATE / SKIPPED
     detail: str

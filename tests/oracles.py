@@ -7,17 +7,19 @@ colons), and low-degree colon membership can be decided by linear algebra
 over F_p.  These stay deliberately separate from the library code paths
 they validate.
 
-The last section is the exception: the ascending Ratliff-Rush colon chain
-m^(n+j) : m^j, built from the library's Groebner colons, is the reference
-for the closures of `invariants.ratliff_rush_power`, which are kernels on
-standard monomials and call no colon.
+The last section is the exception: the Groebner colon, one tag-variable
+colon per generator and the intersection of the results, is the reference
+for the colons of `idealcalc.ideal_colon`, which are kernels on P/N when N
+contains a power of m; and the ascending Ratliff-Rush colon chain
+m^(n+j) : m^j, built from Groebner colons, is the reference for the
+closures of `invariants.ratliff_rush_power`.
 """
 from __future__ import annotations
 
 import random
 from itertools import product as iter_product
 
-from fullness_lab.idealcalc import ideal_colon, ideal_equal_local
+from fullness_lab.idealcalc import IdealHandle, _colon_single, ideal_equal_local, ideal_intersection
 
 
 # -- monomial-ideal arithmetic on exponent tuples ---------------------------
@@ -156,19 +158,34 @@ def poly_in_monomial_ideal(poly: dict, ideal_gens: tuple) -> bool:
     return all(any(m_divides(g, m) for g in ideal_gens) for m in poly)
 
 
-# -- the Ratliff-Rush colon chain (library colons) ----------------------------
+# -- Groebner colons and the Ratliff-Rush colon chain --------------------------
+
+def groebner_colon(A, B):
+    """A : B as the intersection over the generators b of B of the
+    tag-variable colons A : b, whatever A is; kept by the ring's memo."""
+    ring = A.ring
+
+    def build():
+        result = None
+        for b in (g for g in B.gens if ring.reduce(g)):
+            colon = IdealHandle._with_basis(ring, _colon_single(A.gb.basis, b, ring.degree_cap))
+            result = colon if result is None else ideal_intersection(result, colon)
+        return result
+
+    return ring.memo(("groebner-colon", A.gb.basis, B.gb.basis), build)
+
 
 def rr_chain(ring, n: int, window: int = 3, j_cap: int = 25) -> list:
     """The terms m^(n+j) : m^j for j = 1, 2, ... up to the first `window`
     equal consecutive ones, whose value is the chain's guess at the closure
     of m^n.  The chain ascends to the closure, but it can pause, so a short
-    window can stop below it.  Each term is j colons by m, which the ring's
-    memo shares between chains."""
+    window can stop below it.  Each term is j Groebner colons by m, which
+    the ring's memo shares between chains."""
     chain, matches = [], 1
     for j in range(1, j_cap + 1):
         term = ring.m_power(n + j)
         for _ in range(j):
-            term = ideal_colon(term, ring.maximal_ideal())
+            term = groebner_colon(term, ring.maximal_ideal())
         matches = matches + 1 if chain and ideal_equal_local(term, chain[-1]) else 1
         chain.append(term)
         if matches >= window:

@@ -378,6 +378,18 @@ def test_console_script_end_to_end():
     assert report["results"]["n1"] == 0
 
 
+def test_a_fresh_process_imports_the_cli_without_heavy_modules():
+    # Every corpus-cold request starts a new process, which pays for each
+    # module the library imports: dataclasses pulls in inspect, ast, dis
+    # and tokenize, argparse is loaded only by main(), and the version is
+    # not read through importlib.metadata.
+    heavy = ("dataclasses", "argparse", "importlib.metadata")
+    code = f"import sys, fullness_lab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_table_output(capsys):
     path = corpus.path("regular_2d")
     assert cli.main(["dao", "--input", path, "--table"]) == 0

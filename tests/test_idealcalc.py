@@ -9,7 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
-from fullness_lab.groebner import buchberger
+from fullness_lab import cli, corpus
+from fullness_lab.groebner import buchberger, normal_form
 from fullness_lab.idealcalc import (
     IdealcalcError,
     QuotientRing,
@@ -20,8 +21,10 @@ from fullness_lab.idealcalc import (
     ideal_intersection,
     ideal_product,
     is_nonzerodivisor,
+    quotient_view,
     times_m_power,
 )
+from fullness_lab.invariants import _ladder, ratliff_rush_power, reg_G_upper
 from fullness_lab.polyring import PolyRing, PrimeField
 
 P32 = PrimeField(32003)
@@ -281,3 +284,46 @@ def test_colon_and_intersection_bases_match_a_fresh_completion():
                            ideal_colon(A, ring.ideal([forms[1]]))):
                 fresh = buchberger(list(result.gens) + list(ring.relations))
                 assert result.gb.basis == fresh.basis
+
+
+FAST_CORPUS = [e["name"] for e in corpus.listing() if not e["slow"]]
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+@pytest.mark.parametrize("name", FAST_CORPUS)
+def test_kernel_colons_match_the_groebner_colon(name, characteristic):
+    # The colons of numerators that contain a power of m, taken as kernels
+    # on P/N, against one tag-variable colon per generator and the
+    # intersections: ladder rungs I m^n + m^(n+c) by m and by a linear form,
+    # the closures K : m, and the chain terms m^(n+j) : m^j.  Membership in
+    # such a numerator is its normal form; the widened test must agree.
+    problem = corpus.load(name)
+    problem["ring"]["characteristic"] = characteristic
+    ring = cli.build_ring(problem)
+    I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
+    m, amb = ring.maximal_ideal(), ring.ambient
+    ell = ring.ideal([sum((amb.gen(v).scale(k + 2) for k, v in enumerate(amb.variables)), amb.zero())])
+    cases = [(_ladder(I, n, c), B) for n in range(3) for c in (1, 2) for B in (m, ell)]
+    rho = reg_G_upper(ring)
+    cases += [(ratliff_rush_power(ring, n).stable_value, m) for n in range(1, rho + 2)]
+    cases += [(ring.m_power(n + j), ring.m_power(j)) for n in range(1, 3) for j in range(1, 3)]
+    for A, B in cases:
+        assert quotient_view(A) is not None
+        expected = oracles.groebner_colon(A, B)
+        assert ideal_colon(A, B).gb.basis == expected.gb.basis, (str(A), str(B))
+        for f in [*expected.gb.basis, *m.gens]:
+            widened = buchberger([*A.gb.basis, *(x * f for x in amb.gens())])
+            assert ideal_contains_local(A, f) == normal_form(f, widened).is_zero(), (str(A), str(f))
+
+
+def test_an_ideal_with_a_second_point_takes_the_groebner_colon():
+    # (x^2 - x, y) has finitely many standard monomials, but P/N also has the
+    # point (1, 0), where x is not nilpotent: no quotient view, and its
+    # colons and memberships stay those of the Groebner path.
+    A = REG2.parse_ideal(["x^2 - x", "y"])
+    assert quotient_view(A) is None
+    for B in (REG2.maximal_ideal(), REG2.parse_ideal(["y"]), REG2.parse_ideal(["x - 1"])):
+        assert ideal_colon(A, B).gb.basis == oracles.groebner_colon(A, B).gb.basis
+    x = REG2.ambient.parse("x")
+    assert ideal_contains_local(A, x)  # x (x - 1) lies in A, and x - 1 is a unit of R
+    assert not ideal_contains_local(A, x - REG2.ambient.one())

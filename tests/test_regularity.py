@@ -8,9 +8,9 @@ import itertools
 import pytest
 
 from fullness_lab import cli, corpus
-from fullness_lab.fullness import GenericElementPolicy, _standard_monomials
+from fullness_lab.fullness import GenericElementPolicy
 from fullness_lab.groebner import DegreeCapExceeded
-from fullness_lab.idealcalc import QuotientRing
+from fullness_lab.idealcalc import QuotientRing, quotient_view
 from fullness_lab.invariants import dao_numbers, reg_G_upper, regularity_bound, tangent_cone
 from fullness_lab.polyring import PolyRing, PrimeField, monomials_of_degree
 
@@ -45,7 +45,7 @@ def test_tangent_cone_has_the_hilbert_function_of_R(name):
     # as standard monomials of J + m^k, whose quotient is R/m^k.
     ring = _ring(name, 32003)
     leads = [g.lead_monomial for g in tangent_cone(ring).basis]
-    length = [0] + [len(_standard_monomials(ring.m_power(k))) for k in range(1, RHO[name] + 4)]
+    length = [0] + [len(quotient_view(ring.m_power(k)).std) for k in range(1, RHO[name] + 4)]
     for k in range(RHO[name] + 3):
         cone = sum(
             1 for u in monomials_of_degree(ring.ambient.nvars, k)
