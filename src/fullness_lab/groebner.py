@@ -11,15 +11,19 @@ exponent, and its place in the monomial order an integer key from
 MonomialOrder.weights.  Both are additive under multiplication, and m
 divides t iff t - m sets none of the guard bits (the top bit of each
 exponent field), which stay clear while every exponent is below _BOUND.
+Over F_p reducers are stored monic; over Q, division runs on integers and
+the remainders are exact (see _Reducers.reduce).
 """
 from __future__ import annotations
 
 import sys
 from bisect import insort
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .polyring import (
     Monomial,
@@ -34,6 +38,7 @@ DEFAULT_DEGREE_CAP = 60
 _BITS = 32
 _BOUND = 1 << (_BITS - 1)
 _FIELD = (1 << _BITS) - 1
+_CONTENT_BITS = 1024  # over Q, divide out the content after this much growth
 
 
 class DegreeCapExceeded(PolyringError):
@@ -46,9 +51,10 @@ class DegreeCapExceeded(PolyringError):
 
 
 class _Reducers:
-    """Division data of some polynomials: one (lead key, packed lead,
-    inverse lead coefficient, packed tail) entry per nonzero polynomial,
-    smallest lead first so cheap reducers are tried before big ones."""
+    """Division data of some polynomials: one (lead key, packed lead, lead
+    coefficient, packed tail) entry per nonzero polynomial, smallest lead
+    first so cheap reducers are tried before big ones.  Over F_p an entry
+    is monic; over Q it is integral and primitive with a positive lead."""
 
     __slots__ = ("ring", "entries", "weights", "places", "guard")
 
@@ -82,8 +88,15 @@ class _Reducers:
         if g.ring is not self.ring:
             raise RingMismatchError("normal_form: ring or order mismatch")
         if g:
-            tail = tuple([(*self.pack(m), c) for m, c in g.terms[1:]])
-            entry = (*self.pack(g.lead_monomial), self.ring.field.inv(g.lead_coeff), tail)
+            terms = g.terms
+            if not self.ring.characteristic:
+                ints = _integral([c for _, c in terms])[1]
+                content = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+                terms = [(m, c // content) for (m, _), c in zip(terms, ints)]
+            elif g.lead_coeff != 1:
+                terms = g.monic().terms
+            tail = tuple([(*self.pack(m), c) for m, c in terms[1:]])
+            entry = (*self.pack(g.lead_monomial), terms[0][1], tail)
             insort(self.entries, entry, key=itemgetter(0))
 
     def discard_multiples(self, m: Monomial):
@@ -99,6 +112,11 @@ class _Reducers:
         cancelled term leaves its heap entry behind; the entry is skipped
         when popped.  Every term a reduction step adds is smaller than the
         one it removes, so a popped monomial never comes back.
+
+        Over Q the work holds `scale` times the true coefficients, all
+        integers (fraction-free, as in Bareiss's elimination): a step by a
+        lead a > 1 first multiplies the work and the scale by a / gcd(a, c).
+        A final term leaves as the exact c / scale.  Over F_p the scale is 1.
         """
         p = self.ring.field.characteristic
         guard, entries = self.guard, self.entries
@@ -106,6 +124,10 @@ class _Reducers:
         for m, c in terms:
             key, e = self.pack(m)
             work[key], packed[key] = c, e
+        scale, limit = 1, _CONTENT_BITS
+        if not p:
+            scale, ints = _integral(work.values())
+            work = dict(zip(work, ints))
         heap = [-key for key in work]
         heapify(heap)
         remainder = []
@@ -115,13 +137,25 @@ class _Reducers:
             if c is None:
                 continue
             e = packed[key]
-            for lead_key, lead, inv, tail in entries:
+            for lead_key, lead, a, tail in entries:
                 if not (e - lead) & guard:
                     break
             else:
-                remainder.append((self.unpack(e), c))
+                remainder.append((self.unpack(e), c if p else Fraction(c, scale)))
                 continue
-            q = c * inv
+            if a != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                if a != 1:
+                    scale *= a
+                    for t in work:
+                        work[t] *= a
+                    if scale.bit_length() > limit:
+                        g = gcd(scale, c, *work.values())
+                        scale, c = scale // g, c // g
+                        for t in work:
+                            work[t] //= g
+                        limit = scale.bit_length() + _CONTENT_BITS
             shift_key, shift = key - lead_key, e - lead
             for tail_key, tail_e, cc in tail:
                 t = tail_key + shift_key
@@ -132,7 +166,7 @@ class _Reducers:
                     if tail_e & guard:
                         raise PolyringError(f"division needs exponents below {_BOUND}")
                     heappush(heap, -t)
-                s = old - cc * q
+                s = old - cc * c
                 if p:
                     s %= p
                 if s:
@@ -140,6 +174,12 @@ class _Reducers:
                 else:
                     del work[t]
         return remainder
+
+
+def _integral(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * c]) for the least common denominator d of the rationals."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 class GroebnerBasis:

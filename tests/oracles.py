@@ -7,7 +7,9 @@ colons), and low-degree colon membership can be decided by linear algebra
 over F_p.  These stay deliberately separate from the library code paths
 they validate.
 
-The last section is the exception: the Groebner colon, one tag-variable
+The last two sections are the exception.  Division in the field's own
+arithmetic (fractions over Q) is the reference for the integral division of
+`groebner.normal_form`.  The Groebner colon, one tag-variable
 colon per generator and the intersection of the results, is the reference
 for the colons of `idealcalc.ideal_colon`, which are kernels on P/N when N
 contains a power of m; and the ascending Ratliff-Rush colon chain
@@ -156,6 +158,34 @@ def linear_colon_kernel(
 
 def poly_in_monomial_ideal(poly: dict, ideal_gens: tuple) -> bool:
     return all(any(m_divides(g, m) for g in ideal_gens) for m in poly)
+
+
+# -- division in the field's own arithmetic -----------------------------------
+
+def divide(f, divisors):
+    """Remainder of f on full division by the divisors, with the strategy of
+    `groebner.normal_form`: the largest term first, each by the first divisor
+    of smallest lead whose lead divides it, the quotient c / lead taken in
+    the field."""
+    ring, field = f.ring, f.ring.field
+    divisors = sorted((g for g in divisors if g), key=lambda g: ring.order.key(g.lead_monomial))
+    work, remainder = dict(f.terms), {}
+    while work:
+        m = min(work, key=ring.order.desc_key)
+        c = work.pop(m)
+        g = next((g for g in divisors if g.lead_monomial.divides(m)), None)
+        if g is None:
+            remainder[m] = c
+            continue
+        q, shift = field.div(c, g.lead_coeff), m.div(g.lead_monomial)
+        for u, cu in g.terms[1:]:
+            t = u.mul(shift)
+            s = field.sub(work.get(t, field.zero), field.mul(q, cu))
+            if s:
+                work[t] = s
+            else:
+                work.pop(t, None)
+    return ring.from_dict(remainder)
 
 
 # -- Groebner colons and the Ratliff-Rush colon chain --------------------------

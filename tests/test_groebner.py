@@ -1,9 +1,16 @@
 """Tests for division, Buchberger completion, and elimination."""
 
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+import oracles
+
+from fullness_lab import groebner
 from fullness_lab.groebner import (
     DegreeCapExceeded,
     buchberger,
@@ -11,7 +18,7 @@ from fullness_lab.groebner import (
     normal_form,
     s_polynomial,
 )
-from fullness_lab.polyring import MonomialOrder, PolyRing, PolyringError, PrimeField
+from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PolyringError, PrimeField
 
 R2 = PolyRing(["x", "y"], PrimeField(32003))
 R3 = PolyRing(["x", "y", "z"], PrimeField(32003))
@@ -40,6 +47,32 @@ def test_normal_form_irreducible():
     gb = buchberger([P("x^2"), P("y^3")])
     f = P("x*y^2")
     assert normal_form(f, gb) == f
+
+
+@pytest.mark.parametrize("content_bits", [0, groebner._CONTENT_BITS])
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=str)
+def test_remainders_by_any_divisors_match_the_reference_division(monkeypatch, field, content_bits):
+    # The divisors are no Groebner basis, so the remainder depends on the
+    # strategy, which the reference shares.  Over Q the division runs on
+    # integers; with content_bits = 0 it divides out the content of the
+    # work at every step that grows the scale.
+    monkeypatch.setattr(groebner, "_CONTENT_BITS", content_bits)
+    ring = PolyRing(["x", "y", "z"], field)
+    rng = random.Random(f"divide:{field}")
+
+    def coeff():
+        if field is QQ:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+        return rng.randrange(1, field.p)
+
+    def draw(nterms, degree):
+        terms = {tuple(rng.randint(0, degree) for _ in range(3)): coeff() for _ in range(nterms)}
+        return ring.from_dict(terms)
+
+    for _ in range(150):
+        divisors = [draw(rng.randint(1, 4), 2) for _ in range(rng.randint(1, 4))]
+        f = draw(rng.randint(1, 8), 5)
+        assert normal_form(f, divisors) == oracles.divide(f, divisors)
 
 
 def test_buchberger_monomial_ideal_is_its_own_basis():

@@ -1,10 +1,12 @@
 """Differential tests of the Groebner kernel against SymPy.
 
 On seeded random small ideals (3-4 variables, 2-4 sparse generators of
-degree at most 3) the reduced degrevlex basis, a tag-variable elimination
-and ideal membership are recomputed with SymPy, over F_32003 and over Q.
-Reduced bases are unique, so the comparison is exact.  Skipped when SymPy
-is not installed.
+degree at most 3) the reduced degrevlex basis, a tag-variable elimination,
+ideal membership and the remainder on division by the reduced basis are
+recomputed with SymPy, over F_32003, over Q with small coefficients, and
+over Q with numerators up to 10^6 and denominators up to 10^4.  Reduced
+bases and remainders by them are unique, so the comparison is exact.
+Skipped when SymPy is not installed.
 """
 import random
 from fractions import Fraction
@@ -17,7 +19,14 @@ from fullness_lab.polyring import QQ, PolyRing, PrimeField
 sympy = pytest.importorskip("sympy")
 
 P = 32003
-FIELDS = {"gf": PrimeField(P), "qq": QQ}
+FIELDS = {"gf": PrimeField(P), "qq": QQ, "qq-big": QQ}
+COEFFS = {
+    "gf": lambda rng: rng.randrange(1, P),
+    "qq": lambda rng: rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2)]),
+    "qq-big": lambda rng: Fraction(
+        rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**4)
+    ),
+}
 SEEDS = range(8)
 
 
@@ -25,23 +34,19 @@ def _sympy_options(field):
     return {"modulus": P} if field is not QQ else {"domain": "QQ"}
 
 
-def _random_poly(ring, rng, max_terms=3, max_degree=3):
+def _random_poly(ring, rng, coeff, max_terms=3, max_degree=3):
     d = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * ring.nvars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(ring.nvars)] += 1
-        if ring.field is QQ:
-            c = rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2)])
-        else:
-            c = rng.randrange(1, P)
-        d[tuple(exps)] = c
+        d[tuple(exps)] = coeff(rng)
     return ring.from_dict(d)
 
 
-def _random_ideal(ring, rng):
+def _random_ideal(ring, rng, coeff):
     while True:
-        gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 4))]
+        gens = [_random_poly(ring, rng, coeff) for _ in range(rng.randint(2, 4))]
         gens = [g for g in gens if g]
         if gens:
             return gens
@@ -69,19 +74,17 @@ def _normalize_ours(polys):
     return {_canonical([(tuple(m), c) for m, c in g.terms], g.ring.field) for g in polys}
 
 
-def _normalize_sympy(exprs, syms, field):
-    out = set()
-    for g in exprs:
-        poly = sympy.Poly(g, *syms, **_sympy_options(field))
-        terms = []
-        for m, c in poly.terms():
-            if field is QQ:
-                c = Fraction(int(c.p), int(c.q))
-            else:
-                c = int(c) % P
+def _sympy_terms(expr, syms, field):
+    terms = []
+    for m, c in sympy.Poly(expr, *syms, **_sympy_options(field)).terms():
+        c = Fraction(int(c.p), int(c.q)) if field is QQ else int(c) % P
+        if c:
             terms.append((tuple(m), c))
-        out.add(_canonical(terms, field))
-    return out
+    return terms
+
+
+def _normalize_sympy(exprs, syms, field):
+    return {_canonical(_sympy_terms(g, syms, field), field) for g in exprs}
 
 
 def _case(field_name, seed, nvars=None):
@@ -89,14 +92,14 @@ def _case(field_name, seed, nvars=None):
     nvars = nvars or rng.randint(3, 4)
     names = ["x", "y", "z", "t"][:nvars]
     ring = PolyRing(names, FIELDS[field_name])
-    return ring, rng, tuple(sympy.symbols(names))
+    return ring, rng, tuple(sympy.symbols(names)), COEFFS[field_name]
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reduced_basis_matches_sympy(field_name, seed):
-    ring, rng, syms = _case(field_name, seed)
-    gens = _random_ideal(ring, rng)
+    ring, rng, syms, coeff = _case(field_name, seed)
+    gens = _random_ideal(ring, rng, coeff)
     ours = buchberger(gens)
     theirs = sympy.groebner(
         [_to_sympy(g, syms) for g in gens], *syms, order="grevlex", **_sympy_options(ring.field)
@@ -109,11 +112,11 @@ def test_reduced_basis_matches_sympy(field_name, seed):
 def test_elimination_matches_sympy_lex(field_name, seed):
     # Intersection of two ideals through the tag variable w:
     # (A ∩ B) = (w·A + (1-w)·B) ∩ k[x, ...].
-    ring, rng, syms = _case(field_name, seed, nvars=3)
+    ring, rng, syms, coeff = _case(field_name, seed, nvars=3)
     tagged = PolyRing(("w",) + ring.variables, ring.field)
     w, one = tagged.gen("w"), tagged.one()
-    a = [tagged.convert(g) for g in _random_ideal(ring, rng)[:2]]
-    b = [tagged.convert(g) for g in _random_ideal(ring, rng)[:2]]
+    a = [tagged.convert(g) for g in _random_ideal(ring, rng, coeff)[:2]]
+    b = [tagged.convert(g) for g in _random_ideal(ring, rng, coeff)[:2]]
     mixed = [w * g for g in a] + [(one - w) * g for g in b]
     ours = buchberger([ring.convert(g) for g in eliminate(mixed, ["w"])])
 
@@ -130,18 +133,37 @@ def test_elimination_matches_sympy_lex(field_name, seed):
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_membership_matches_sympy_contains(field_name, seed):
-    ring, rng, syms = _case(field_name, seed)
-    gens = _random_ideal(ring, rng)
+    ring, rng, syms, coeff = _case(field_name, seed)
+    gens = _random_ideal(ring, rng, coeff)
     gb = buchberger(gens)
     theirs = sympy.groebner(
         [_to_sympy(g, syms) for g in gens], *syms, order="grevlex", **_sympy_options(ring.field)
     )
-    candidates = [_random_poly(ring, rng, max_terms=4) for _ in range(4)]
+    candidates = [_random_poly(ring, rng, coeff, max_terms=4) for _ in range(4)]
     # combinations of the generators are members; perturbed ones mostly not
     for _ in range(4):
         f = ring.zero()
         for g in gens:
-            f = f + g * _random_poly(ring, rng, max_terms=2, max_degree=2)
-        candidates += [f, f + _random_poly(ring, rng, max_terms=1)]
+            f = f + g * _random_poly(ring, rng, coeff, max_terms=2, max_degree=2)
+        candidates += [f, f + _random_poly(ring, rng, coeff, max_terms=1)]
     for f in candidates:
         assert normal_form(f, gb).is_zero() == bool(theirs.contains(_to_sympy(f, syms)))
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normal_form_matches_sympy_reduce(field_name, seed):
+    # The remainder by a Groebner basis depends only on the ideal and the
+    # order, so it is compared term by term, coefficients unscaled.
+    ring, rng, syms, coeff = _case(field_name, seed)
+    gens = _random_ideal(ring, rng, coeff)
+    gb = buchberger(gens)
+    options = _sympy_options(ring.field)
+    divisors = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="grevlex", **options)
+    for _ in range(4):
+        f = _random_poly(ring, rng, coeff, max_terms=6, max_degree=5)
+        _, theirs = sympy.reduced(
+            _to_sympy(f, syms), divisors.exprs, *syms, order="grevlex", **options
+        )
+        ours = [(tuple(m), c) for m, c in normal_form(f, gb).terms]
+        assert sorted(ours) == sorted(_sympy_terms(theirs, syms, ring.field))

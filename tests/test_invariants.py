@@ -370,6 +370,19 @@ def test_dao_semigroup_non_minimal_reduction():
     assert rep.n2 <= rep.n1
 
 
+def test_dao_of_two_forms_whose_xy_minor_vanishes_is_that_of_z_and_one_form():
+    # The x/y minor 11640*30161 - 30444*14143 is 0 mod 32003, so z lies in
+    # the ideal and it equals (z, 11640*x + 30444*y): not the generic
+    # answer (1, 3, 2, 0, 2) of two dense forms on this ring.
+    E = ring_4_2()
+    key = lambda rep: (rep.r, rep.s, rep.n1, rep.n2, rep.n3)
+    degenerate = dao_numbers(
+        E.parse_ideal(["11640*x + 30444*y + 1554*z", "14143*x + 30161*y + 15051*z"]), POLICY
+    )
+    assert key(degenerate) == (3, 3, 3, 3, 3)
+    assert key(dao_numbers(E.parse_ideal(["z", "11640*x + 30444*y"]), POLICY)) == key(degenerate)
+
+
 def test_dao_regular_rings_vanish():
     for ring in (REG2, REG3):
         rep = dao_numbers(ring.maximal_ideal(), POLICY)
