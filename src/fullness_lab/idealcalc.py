@@ -13,7 +13,10 @@ finite-dimensional, and local and global questions about N agree.  Its
 M_{x_i} of multiplication by each variable on them, so that a colon N : b
 is N plus the lifts of the kernel of b· on P/N (one Buchberger run, no
 elimination), and membership in N is a normal form.  Every other colon is
-the tag-variable elimination of `_colon_single`.
+the tag-variable elimination of `_colon_single`, and so is every
+intersection.  That elimination homogenizes both degrevlex bases by a fresh
+last variable h first (`_intersect_lifts`), which keeps its coefficients
+small; this is why the ambient order must be degrevlex.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .groebner import (
 )
 from .polyring import (
     Monomial,
+    MonomialOrder,
     PolyRing,
     Polynomial,
     PolyringError,
@@ -41,14 +45,12 @@ class IdealcalcError(PolyringError):
     pass
 
 
-_AUX = "w"
 _MISSING = object()
 
 
-def _aux_name(ring: PolyRing) -> str:
-    name = _AUX
-    while name in ring.variables:
-        name += "w"
+def _fresh_name(name: str, taken: Sequence[str]) -> str:
+    while name in taken:
+        name += name[0]
     return name
 
 
@@ -61,7 +63,9 @@ class QuotientRing:
     by itself.  `start_request` keeps the entries whose key names neither,
     which depend on the presentation alone: the powers of m, the depth
     witness, the Ratliff-Rush records of m-powers and the regularity bound
-    of G(m).  Every Groebner run on its ideals honours its degree cap.
+    of G(m).  Every Groebner run on its ideals honours its degree cap.  The
+    ambient order must be degrevlex, which the intersections need: they
+    homogenize with a last variable h and set h = 1 in a degrevlex basis.
     """
 
     def __init__(
@@ -70,6 +74,8 @@ class QuotientRing:
         relations: Sequence[Polynomial] = (),
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
+        if ambient.order.kind != MonomialOrder.DEGREVLEX:
+            raise IdealcalcError("the ambient ring must be ordered by degrevlex")
         self.ambient = ambient
         self.degree_cap = degree_cap
         rels = []
@@ -363,8 +369,8 @@ def times_m_power(A: IdealHandle, n: int) -> IdealHandle:
 
 
 def ideal_intersection(A: IdealHandle, B: IdealHandle) -> IdealHandle:
-    """Intersection of the lifted ideals via the one-tag-variable trick:
-    (A+J) ∩ (B+J) = ( w·(A+J) + (1-w)·(B+J) ) ∩ P."""
+    """Intersection of the lifted ideals A + J and B + J, by the tag-variable
+    elimination of `_intersect_lifts` on their reduced bases."""
     _check_same_ring(A, B)
     ring = A.ring
     gens_a = list(A.gb.basis)
@@ -373,8 +379,8 @@ def ideal_intersection(A: IdealHandle, B: IdealHandle) -> IdealHandle:
         return ring.zero_ideal()
 
     def build():
-        # Both lifts contain the relations, and the surviving elements of a
-        # reduced elimination basis are the reduced basis of the intersection.
+        # Both lifts contain the relations, and the survivors are the
+        # reduced basis of the intersection.
         inter = _intersect_lifts(ring.ambient, gens_a, gens_b, ring.degree_cap)
         return IdealHandle._with_basis(ring, GroebnerBasis(ring.ambient, inter))
 
@@ -387,23 +393,39 @@ def _intersect_lifts(
     gens_b: Sequence[Polynomial],
     degree_cap: int,
 ) -> list[Polynomial]:
-    """Generators of (gens_a) ∩ (gens_b) in the polynomial ring, as
-    ( w·(gens_a) + (1-w)·(gens_b) ) ∩ ring with a fresh tag variable w."""
-    aux = _aux_name(ring)
-    ext = ring.extend_front([aux])
+    """The reduced degrevlex basis of A ∩ B, A = (gens_a) and B = (gens_b).
+
+    Each list must be a degrevlex Groebner basis of its ideal, or a single
+    polynomial.  Then its homogenization by a fresh last variable h
+    generates the homogenization of its ideal, and A^h ∩ B^h = (A ∩ B)^h,
+    which is ( w·A^h + (1-w)·B^h ) ∩ P[h] for a fresh tag variable w.  The
+    elimination runs on input homogeneous in (x, h), so its survivors are
+    the reduced basis of (A ∩ B)^h.  No lead involves h, because that ideal
+    is saturated by h, so at h = 1 they are the reduced basis of A ∩ B
+    (Cox, Little & O'Shea, ch. 8 §4).
+    """
+    aux, h = _fresh_name("w", ring.variables), _fresh_name("h", ring.variables)
+    ext = PolyRing((aux, *ring.variables, h), ring.field, MonomialOrder.elimination(1))
     w = ext.gen(aux)
     one_minus_w = ext.one() - w
-    mixed = [w * ext.convert(g) for g in gens_a]
-    mixed += [one_minus_w * ext.convert(g) for g in gens_b]
-    return [ring.convert(g) for g in eliminate(mixed, [aux], degree_cap)]
+
+    def homogenized(g):
+        d = g.total_degree
+        return ext.from_dict({(0, *m, d - sum(m)): c for m, c in g.terms})
+
+    mixed = [w * homogenized(g) for g in gens_a]
+    mixed += [one_minus_w * homogenized(g) for g in gens_b]
+    survivors = eliminate(mixed, [aux], degree_cap)
+    return [ring.from_dict({m[1:-1]: c for m, c in g.terms}) for g in survivors]
 
 
 def _colon_single(
     numerator_basis: Sequence[Polynomial], b: Polynomial, degree_cap: int
 ) -> GroebnerBasis:
-    """Reduced basis of (N : b) in P for a single nonzero b, via
-    (N ∩ (b)) · b^{-1}.  The quotients of a Groebner basis of N ∩ (b) by b
-    form a Groebner basis of N : b, since lead monomials are multiplicative."""
+    """Reduced basis of (N : b) in P for a single nonzero b and a degrevlex
+    Groebner basis of N, via (N ∩ (b)) · b^{-1}.  The quotients of a
+    Groebner basis of N ∩ (b) by b form a Groebner basis of N : b, since
+    lead monomials are multiplicative."""
     inter = _intersect_lifts(b.ring, numerator_basis, [b], degree_cap) if numerator_basis else []
     return reduce_basis(b.ring, [_exact_divide(g, b) for g in inter])
 

@@ -110,9 +110,9 @@ class RationalField:
 
     __slots__ = ()
 
-    characteristic = property(lambda self: 0)
-    zero = property(lambda self: Fraction(0))
-    one = property(lambda self: Fraction(1))
+    characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, x) -> Fraction:
         return Fraction(x)

@@ -9,11 +9,13 @@ they validate.
 
 The last two sections are the exception.  Division in the field's own
 arithmetic (fractions over Q) is the reference for the integral division of
-`groebner.normal_form`.  The Groebner colon, one tag-variable
-colon per generator and the intersection of the results, is the reference
-for the colons of `idealcalc.ideal_colon`, which are kernels on P/N when N
-contains a power of m; and the ascending Ratliff-Rush colon chain
-m^(n+j) : m^j, built from Groebner colons, is the reference for the
+`groebner.normal_form`.  The plain tag-variable elimination, with no
+homogenization, is the reference for the intersections and the colons of
+`idealcalc`, which homogenize before they eliminate.  The Groebner colon,
+one such colon per generator and the intersection of the results, is the
+reference for the colons of `idealcalc.ideal_colon`, which are kernels on
+P/N when N contains a power of m; and the ascending Ratliff-Rush colon
+chain m^(n+j) : m^j, built from Groebner colons, is the reference for the
 closures of `invariants.ratliff_rush_power`.
 """
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import random
 from itertools import product as iter_product
 
-from fullness_lab.idealcalc import IdealHandle, _colon_single, ideal_equal_local, ideal_intersection
+from fullness_lab.groebner import DEFAULT_DEGREE_CAP, eliminate, reduce_basis
+from fullness_lab.idealcalc import IdealHandle, ideal_equal_local
 
 
 # -- monomial-ideal arithmetic on exponent tuples ---------------------------
@@ -190,17 +193,50 @@ def divide(f, divisors):
 
 # -- Groebner colons and the Ratliff-Rush colon chain --------------------------
 
+def tag_intersection(ring, gens_a, gens_b, degree_cap: int = DEFAULT_DEGREE_CAP):
+    """Reduced basis of (gens_a) ∩ (gens_b) in `ring`, as
+    ( w·(gens_a) + (1-w)·(gens_b) ) ∩ ring with a fresh tag variable w,
+    eliminated as it stands."""
+    aux = "w"
+    while aux in ring.variables:
+        aux += "w"
+    ext = ring.extend_front([aux])
+    w = ext.gen(aux)
+    mixed = [w * ext.convert(g) for g in gens_a]
+    mixed += [(ext.one() - w) * ext.convert(g) for g in gens_b]
+    return reduce_basis(ring, [ring.convert(g) for g in eliminate(mixed, [aux], degree_cap)])
+
+
+def exact_quotient(f, b):
+    """f / b when b divides f, by long division on lead terms."""
+    ring, field = f.ring, f.ring.field
+    quotient = {}
+    while f:
+        m, c = f.lead_monomial.div(b.lead_monomial), field.div(f.lead_coeff, b.lead_coeff)
+        quotient[m] = c
+        f = f - b.mul_term(m, c)
+    return ring.from_dict(quotient)
+
+
+def tag_colon(numerator_basis, b, degree_cap: int = DEFAULT_DEGREE_CAP):
+    """Reduced basis of N : b for one nonzero b, the quotients by b of the
+    basis of N ∩ (b)."""
+    inter = tag_intersection(b.ring, numerator_basis, [b], degree_cap)
+    return reduce_basis(b.ring, [exact_quotient(g, b) for g in inter.basis])
+
+
 def groebner_colon(A, B):
     """A : B as the intersection over the generators b of B of the
     tag-variable colons A : b, whatever A is; kept by the ring's memo."""
     ring = A.ring
+    amb, cap = ring.ambient, ring.degree_cap
 
     def build():
         result = None
         for b in (g for g in B.gens if ring.reduce(g)):
-            colon = IdealHandle._with_basis(ring, _colon_single(A.gb.basis, b, ring.degree_cap))
-            result = colon if result is None else ideal_intersection(result, colon)
-        return result
+            colon = tag_colon(A.gb.basis, b, cap)
+            result = colon if result is None else tag_intersection(amb, result.basis, colon.basis, cap)
+        return IdealHandle._with_basis(ring, result)
 
     return ring.memo(("groebner-colon", A.gb.basis, B.gb.basis), build)
 

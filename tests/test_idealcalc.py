@@ -1,5 +1,6 @@
 """Tests for quotient-ring presentations and local ideal arithmetic."""
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
 from fullness_lab import cli, corpus
+from fullness_lab.fullness import GenericElementPolicy, sample_linear_form
 from fullness_lab.groebner import buchberger, normal_form
 from fullness_lab.idealcalc import (
     IdealcalcError,
@@ -25,7 +27,7 @@ from fullness_lab.idealcalc import (
     times_m_power,
 )
 from fullness_lab.invariants import _ladder, ratliff_rush_power, reg_G_upper
-from fullness_lab.polyring import PolyRing, PrimeField
+from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PrimeField
 
 P32 = PrimeField(32003)
 REG2 = QuotientRing(PolyRing(["x", "y"], P32))
@@ -47,6 +49,18 @@ def test_quotient_ring_rejects_constant_terms():
     amb = PolyRing(["x", "y"], P32)
     with pytest.raises(IdealcalcError):
         QuotientRing(amb, [amb.parse("x*y - 1")])
+
+
+@pytest.mark.parametrize("order", [MonomialOrder.lex(), MonomialOrder.elimination(1)])
+def test_quotient_ring_rejects_an_order_that_is_not_degrevlex(order):
+    # The intersections homogenize with a last variable h and set h = 1 in
+    # a degrevlex basis, which is a basis of the ambient ring's ideal only
+    # when that ring is ordered by degrevlex too.
+    amb = PolyRing(["x", "y"], P32, order)
+    with pytest.raises(IdealcalcError):
+        QuotientRing(amb)
+    with pytest.raises(IdealcalcError):
+        QuotientRing(amb, [amb.parse("x*y")])
 
 
 def test_zero_ideal_is_the_one_handle_on_the_relations():
@@ -327,3 +341,59 @@ def test_an_ideal_with_a_second_point_takes_the_groebner_colon():
     x = REG2.ambient.parse("x")
     assert ideal_contains_local(A, x)  # x (x - 1) lies in A, and x - 1 is a unit of R
     assert not ideal_contains_local(A, x - REG2.ambient.one())
+
+
+QQ_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "qq_reference.json").read_text()
+)
+
+
+def _random_inhomogeneous(rng: random.Random, amb: PolyRing):
+    """Up to two terms of degree at most 3 and one of degree 1 or 0, with
+    small integer coefficients: mostly not homogeneous."""
+    n, k = amb.nvars, rng.randrange(amb.nvars + 1)
+    top = {tuple(rng.choice([0, 1, 2]) for _ in range(n)) for _ in range(2)}
+    low = {tuple(int(i == k) for i in range(n))}
+    return amb.from_dict({m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in top | low if sum(m) <= 3})
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_intersections_and_colons_match_the_plain_elimination(characteristic):
+    # `idealcalc` homogenizes both generator lists before it eliminates the
+    # tag variable; the plain elimination of `oracles` must give the same
+    # reduced bases.  Cases: the reference colons of the qq-kernels
+    # benchmark (and A : x*y), J : l for the draws of `depth_witness` under
+    # the default policy on every fast corpus ring, and seeded pairs of
+    # inhomogeneous ideals.
+    field = PrimeField(characteristic) if characteristic else QQ
+    ring = QuotientRing(PolyRing(QQ_REFERENCE["ring"]["variables"], field))
+    cases = []
+    for entry in QQ_REFERENCE["bases"].values():
+        A = ring.parse_ideal(entry["generators"])
+        for ref in entry["colon"].values():
+            B = ring.parse_ideal(ref["divisor"])
+            cases.append((A, B))
+            if not characteristic:
+                want = {ring.ambient.parse(g) for g in ref["basis"]}
+                assert set(ideal_colon(A, B).gb.basis) == want, ref["divisor"]
+        cases.append((A, ring.parse_ideal(["x*y"])))
+    for name in FAST_CORPUS:
+        problem = corpus.load(name)
+        problem["ring"]["characteristic"] = characteristic
+        corpus_ring = cli.build_ring(problem)
+        policy = GenericElementPolicy()
+        draws = policy.rng("depth-probe")
+        for _ in range(max(policy.trials, 3)):
+            ell = sample_linear_form(corpus_ring, draws)
+            cases.append((corpus_ring.zero_ideal(), corpus_ring.ideal([ell])))
+    rng = random.Random(18)
+    for amb in (PolyRing(["x", "y"], field), PolyRing(["x", "y", "z"], field)):
+        small = QuotientRing(amb)
+        for _ in range(6):
+            A, B = (small.ideal([_random_inhomogeneous(rng, amb) for _ in range(2)]) for _ in range(2))
+            cases.append((A, B))
+    for A, B in cases:
+        amb = A.ring.ambient
+        got = ideal_intersection(A, B).gb.basis
+        assert got == oracles.tag_intersection(amb, A.gb.basis, B.gb.basis).basis, (A, B)
+        assert ideal_colon(A, B).gb.basis == oracles.groebner_colon(A, B).gb.basis, (A, B)
