@@ -240,16 +240,19 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring is not g.ring:
         raise RingMismatchError("s_polynomial: polynomials from different rings")
     field = f.ring.field
-    fmul, fsub, zero = field.mul, field.sub, field.zero
-    lf, lg = f.lead_monomial, g.lead_monomial
-    lcm = lf.lcm(lg)
+    lcm = f.lead_monomial.lcm(g.lead_monomial)
+
+    def tail(h):  # the tail of h times lcm / (lead term of h)
+        shift, c = lcm.div(h.lead_monomial), h.lead_coeff
+        if c == field.one:  # monic, the rule in `buchberger`: no inverse, no products
+            return [(m.mul(shift), k) for m, k in h.terms[1:]]
+        c, fmul = field.inv(c), field.mul
+        return [(m.mul(shift), fmul(k, c)) for m, k in h.terms[1:]]
+
     # The scaled lead terms cancel; only the tails are combined.
-    shift, c = lcm.div(lf), field.inv(f.lead_coeff)
-    d = {m.mul(shift): fmul(k, c) for m, k in f.terms[1:]}
-    shift, c = lcm.div(lg), field.inv(g.lead_coeff)
-    for m, k in g.terms[1:]:
-        t = m.mul(shift)
-        d[t] = fsub(d.get(t, zero), fmul(k, c))
+    d, fsub, zero = dict(tail(f)), field.sub, field.zero
+    for t, k in tail(g):
+        d[t] = fsub(d.get(t, zero), k)
     return f.ring._sorted(d.items())
 
 

@@ -12,7 +12,9 @@ finite-dimensional, and local and global questions about N agree.  Its
 `QuotientView` numbers the standard monomials of N and keeps the maps
 M_{x_i} of multiplication by each variable on them, so that a colon N : b
 is N plus the lifts of the kernel of b· on P/N (one Buchberger run, no
-elimination), and membership in N is a normal form.  Every other colon is
+elimination), and membership in N is a normal form.  Ranks and kernels
+come from one echelon form, fraction-free over Q (`_echelon`), so kernel
+vectors are integral.  Every other colon is
 the tag-variable elimination of `_colon_single`, and so is every
 intersection.  That elimination homogenizes both degrevlex bases by a fresh
 last variable h first (`_intersect_lifts`), which keeps its coefficients
@@ -20,6 +22,7 @@ small; this is why the ambient order must be degrevlex.
 """
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .groebner import (
@@ -316,18 +319,48 @@ def quotient_view(N: IdealHandle) -> QuotientView | None:
 
 def _echelon(rows: list[dict], field) -> dict:
     """Echelon form of sparse rows, keyed by each row's largest column, by
-    elimination on that column.  The rows are consumed."""
+    elimination on that column.  The rows are consumed.
+
+    Over F_p each pivot is monic.  Over Q the elimination is fraction-free
+    (Bareiss 1968): a row is cleared of denominators, a step replaces it by
+    a·row - b·pivot with a and b the two entries on the column over their
+    gcd, and the row's content is divided out.  So a pivot is integral and
+    primitive with a positive lead, a multiple of the monic pivot.
+    """
     p, pivots = field.characteristic, {}
     for row in rows:
+        if not p:
+            den = lcm(*(c.denominator for c in row.values()))
+            row = _primitive({k: c.numerator * (den // c.denominator) for k, c in row.items()})
         while row:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = field.inv(row[col])
-                pivots[col] = {k: field.mul(c, inv) for k, c in row.items()}
+                if p:
+                    inv = field.inv(row[col])
+                    row = {k: field.mul(c, inv) for k, c in row.items()}
+                elif row[col] < 0:
+                    row = {k: -c for k, c in row.items()}
+                pivots[col] = row
                 break
-            _add_into(row, pivot, -row[col], p)
+            a, b = pivot[col], row[col]
+            if p:
+                _add_into(row, pivot, -b, p)
+                continue
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            _add_into(row, pivot, -b, p)
+            row = _primitive(row)
     return pivots
+
+
+def _primitive(row: dict) -> dict:
+    """An integral row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 or not g else {k: c // g for k, c in row.items()}
 
 
 def _rank(rows: list[dict], field) -> int:

@@ -666,20 +666,18 @@ def verify_statements(
             )
         )
 
-    # Recorded regularity upper bound.
-    if known_reg is not None:
-        ok = report.reg_bound_consistent
-        checks.append(
-            StatementCheck(
-                "rees_regularity_bound",
-                "HOLDS" if ok else "VIOLATION",
-                f"n1={report.n1} <= reg={known_reg}" if ok else f"n1={report.n1} > reg={known_reg}",
-            )
-        )
+    # Recorded regularity upper bound.  reg R(m) = reg G(m) <= reg_G_upper,
+    # so a recorded value above the certified bound is refuted.
+    if known_reg is None:
+        rees = ("SKIPPED", "no known_reg supplied")
+    elif known_reg > report.reg_G_upper:
+        rees = ("VIOLATION", f"known_reg={known_reg} > reg_G_upper={report.reg_G_upper}: "
+                "the recorded regularity exceeds the certified bound")
+    elif report.reg_bound_consistent:
+        rees = ("HOLDS", f"n1={report.n1} <= reg={known_reg}")
     else:
-        checks.append(
-            StatementCheck("rees_regularity_bound", "SKIPPED", "no known_reg supplied")
-        )
+        rees = ("VIOLATION", f"n1={report.n1} > reg={known_reg}")
+    checks.append(StatementCheck("rees_regularity_bound", *rees))
 
     # The certified regularity bound against n1 and a recorded regularity.
     rho, given = report.reg_G_upper, (("n1", report.n1), ("known_reg", known_reg))

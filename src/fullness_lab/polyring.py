@@ -520,6 +520,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
+        if len(other.terms) == 1:
+            return self.mul_term(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.mul_term(*self.terms[0])
         field = self.ring.field
         fadd, fmul, zero = field.add, field.mul, field.zero
         d: dict = {}
@@ -540,13 +544,17 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, field.mul(k, c)) for m, k in self.terms))
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
+        """The product by the term c·m, already sorted: a monomial order is
+        multiplicative."""
         field = self.ring.field
         if c == field.zero:
             return self.ring.zero()
-        fmul = field.mul
-        return Polynomial(
-            self.ring, tuple([(Monomial(map(add, mm, m)), fmul(cc, c)) for mm, cc in self.terms])
-        )
+        if c == field.one:
+            terms = [(Monomial(map(add, mm, m)), cc) for mm, cc in self.terms]
+        else:
+            fmul = field.mul
+            terms = [(Monomial(map(add, mm, m)), fmul(cc, c)) for mm, cc in self.terms]
+        return Polynomial(self.ring, tuple(terms))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -566,28 +574,6 @@ class Polynomial:
             return self
         inv = field.inv(self.lead_coeff)
         return Polynomial(self.ring, tuple((m, field.mul(c, inv)) for m, c in self.terms))
-
-    def substitute(self, values: dict) -> "Polynomial":
-        """Substitute polynomials for variables (by name)."""
-        ring = self.ring
-        target = None
-        for v in values.values():
-            target = v.ring
-            break
-        if target is None:
-            target = ring
-        result = target.zero()
-        for m, c in self.terms:
-            term = target.constant(c)
-            for name, e in zip(ring.variables, m):
-                if e == 0:
-                    continue
-                if name in values:
-                    term = term * (values[name] ** e)
-                else:
-                    term = term * (target.gen(name) ** e)
-            result = result + term
-        return result
 
     # -- identity ----------------------------------------------------------
 

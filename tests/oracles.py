@@ -7,16 +7,19 @@ colons), and low-degree colon membership can be decided by linear algebra
 over F_p.  These stay deliberately separate from the library code paths
 they validate.
 
-The last two sections are the exception.  Division in the field's own
-arithmetic (fractions over Q) is the reference for the integral division of
-`groebner.normal_form`.  The plain tag-variable elimination, with no
-homogenization, is the reference for the intersections and the colons of
-`idealcalc`, which homogenize before they eliminate.  The Groebner colon,
-one such colon per generator and the intersection of the results, is the
-reference for the colons of `idealcalc.ideal_colon`, which are kernels on
-P/N when N contains a power of m; and the ascending Ratliff-Rush colon
-chain m^(n+j) : m^j, built from Groebner colons, is the reference for the
-closures of `invariants.ratliff_rush_power`.
+The last four sections are the exception.  Substitution of polynomials
+for variables uses the library's polynomial arithmetic.  Division and
+elimination in the field's own arithmetic (fractions over Q) are the
+references for the integral division of `groebner.normal_form` and for the
+fraction-free echelon form behind `idealcalc._rank` and `idealcalc._kernel`.
+The plain tag-variable elimination, with no homogenization, is the
+reference for the intersections and the colons of `idealcalc`, which
+homogenize before they eliminate.  The Groebner colon, one such colon per
+generator and the intersection of the results, is the reference for the
+colons of `idealcalc.ideal_colon`, which are kernels on P/N when N contains
+a power of m; and the ascending Ratliff-Rush colon chain m^(n+j) : m^j,
+built from Groebner colons, is the reference for the closures of
+`invariants.ratliff_rush_power`.
 """
 from __future__ import annotations
 
@@ -163,6 +166,22 @@ def poly_in_monomial_ideal(poly: dict, ideal_gens: tuple) -> bool:
     return all(any(m_divides(g, m) for g in ideal_gens) for m in poly)
 
 
+# -- substitution ---------------------------------------------------------------
+
+def substitute(f, values: dict):
+    """f with the polynomials `values[name]` put for the variables they name,
+    in their ring; the other variables are kept."""
+    target = next(iter(values.values())).ring if values else f.ring
+    result = target.zero()
+    for m, c in f.terms:
+        term = target.constant(c)
+        for name, e in zip(f.ring.variables, m):
+            if e:
+                term = term * (values[name] if name in values else target.gen(name)) ** e
+        result = result + term
+    return result
+
+
 # -- division in the field's own arithmetic -----------------------------------
 
 def divide(f, divisors):
@@ -189,6 +208,44 @@ def divide(f, divisors):
             else:
                 work.pop(t, None)
     return ring.from_dict(remainder)
+
+
+# -- elimination in the field's own arithmetic --------------------------------
+
+def echelon(rows: list[dict], field) -> dict:
+    """Echelon form of sparse rows {column: coefficient}, keyed by each
+    row's largest column, with monic pivots: each row is reduced on its
+    largest column by the pivot there, the multiple taken in the field,
+    until it is zero or becomes the pivot of a new column.  The rows are
+    consumed."""
+    pivots = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = field.inv(row[col])
+                pivots[col] = {k: field.mul(c, inv) for k, c in row.items()}
+                break
+            q = row[col]
+            for k, c in pivot.items():
+                s = field.sub(row.get(k, field.zero), field.mul(q, c))
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+    return pivots
+
+
+def kernel(rows: list[dict], field) -> list[dict]:
+    """A basis {i: c} of the combinations of the rows that vanish: row i
+    carries the tag column -1 - i, and the pivots on tag columns are the
+    kernel."""
+    tagged = [{**row, -1 - i: field.one} for i, row in enumerate(rows)]
+    return [
+        {-1 - k: c for k, c in pivot.items()}
+        for col, pivot in echelon(tagged, field).items() if col < 0
+    ]
 
 
 # -- Groebner colons and the Ratliff-Rush colon chain --------------------------

@@ -169,7 +169,7 @@ def test_eliminate_parametrized_curve():
     kernel = out[0].monic()
     assert kernel == ring.parse("x^3 - y^2").monic()
     # independent check: the generator vanishes under the parametrization
-    pulled = kernel.substitute({"x": ring.parse("t^2"), "y": ring.parse("t^3")})
+    pulled = oracles.substitute(kernel, {"x": ring.parse("t^2"), "y": ring.parse("t^3")})
     assert pulled.is_zero()
 
 
@@ -199,6 +199,37 @@ def test_basis_object_semantics():
     assert len(gb) == 1 and list(gb) == [P("x")]
     assert not gb.is_unit_ideal()
     assert buchberger([P("x + 1"), P("x")]).is_unit_ideal()
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["F_p", "Q"])
+def test_s_polynomials_match_the_generic_formula(field):
+    # A monic lead takes no inverse and no products; every pair, monic or
+    # not, constants and one included, gives (L / LT(f))·f - (L / LT(g))·g
+    # with L the lcm of the leads.
+    rng = random.Random(19)
+    ring = PolyRing(["x", "y", "z"], field)
+
+    def draw(monic):
+        f = ring.zero()
+        while f.is_zero():
+            terms = {tuple(rng.randrange(3) for _ in range(3)): field.from_fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 4))}
+            f = ring.from_dict(terms)
+        return f.monic() if monic else f
+
+    cases = [(draw(case % 2 == 0), draw(case % 3 == 0)) for case in range(200)]
+    constant = ring.constant(field.from_fraction(-2, 3))
+    cases += [(ring.one(), draw(True)), (draw(False), constant), (constant, ring.one())]
+    for f, g in cases:
+        lcm, generic = f.lead_monomial.lcm(g.lead_monomial), {}
+        for h, sign in ((f, field.one), (g, field.neg(field.one))):
+            q, shift = field.div(sign, h.lead_coeff), lcm.div(h.lead_monomial)
+            for m, c in h.terms:
+                t = m.mul(shift)
+                generic[t] = field.add(generic.get(t, field.zero), field.mul(q, c))
+        assert s_polynomial(f, g) == ring.from_dict(generic), (f, g)
+    with pytest.raises(PolyringError):
+        s_polynomial(draw(True), ring.zero())
 
 
 def test_completion_loop_calls_module_level_kernels(monkeypatch):

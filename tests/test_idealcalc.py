@@ -3,6 +3,8 @@
 import json
 import random
 import sys
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,9 @@ from fullness_lab.groebner import buchberger, normal_form
 from fullness_lab.idealcalc import (
     IdealcalcError,
     QuotientRing,
+    _echelon,
+    _kernel,
+    _rank,
     ideal_colon,
     ideal_contains_local,
     ideal_contains_local_ideal,
@@ -397,3 +402,67 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
         got = ideal_intersection(A, B).gb.basis
         assert got == oracles.tag_intersection(amb, A.gb.basis, B.gb.basis).basis, (A, B)
         assert ideal_colon(A, B).gb.basis == oracles.groebner_colon(A, B).gb.basis, (A, B)
+
+
+def _seeded_rows(rng: random.Random, field, nrows: int, ncols: int) -> list[dict]:
+    """Sparse rows with zero rows, repeated rows, combinations of earlier
+    rows and, over Q, large numerators over mixed denominators."""
+
+    def coefficient():
+        if field.characteristic:
+            return rng.randrange(1, field.characteristic)
+        num = rng.choice([rng.randint(1, 9), rng.randint(1, 10**30)]) * rng.choice([-1, 1])
+        return Fraction(num, rng.choice([1, 1, 2, 3, 12, 10**12 + 39]))
+
+    rows: list[dict] = []
+    for _ in range(nrows):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append({})
+        elif kind == 1 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind == 2 and len(rows) > 1:
+            (a, u), (b, v) = ((coefficient(), rng.choice(rows)) for _ in range(2))
+            row = {k: field.add(field.mul(a, u.get(k, field.zero)), field.mul(b, v.get(k, field.zero)))
+                   for k in {*u, *v}}
+            rows.append({k: c for k, c in row.items() if c})
+        else:
+            rows.append({k: coefficient() for k in rng.sample(range(ncols), rng.randint(1, ncols))})
+    return rows
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_echelon_ranks_and_kernels_match_the_reference(characteristic):
+    # `_echelon` is fraction-free over Q; `oracles.echelon` eliminates with
+    # monic pivots in the field's own arithmetic.  Ranks agree, every kernel
+    # vector is a vanishing combination inside the reference kernel, and the
+    # kernels have one dimension.  Over Q each pivot is integral, primitive,
+    # with a positive lead, and a multiple of the reference's monic pivot;
+    # over F_p the echelon form and the kernel are the reference's own.
+    field = PrimeField(characteristic) if characteristic else QQ
+    rng = random.Random(19)
+    for _ in range(40):
+        rows = _seeded_rows(rng, field, rng.randint(1, 12), rng.randint(1, 9))
+
+        def copies():  # the rows are consumed
+            return [dict(row) for row in rows]
+
+        got, want = _echelon(copies(), field), oracles.echelon(copies(), field)
+        assert _rank(copies(), field) == len(got) == len(want)
+        kernel, reference = _kernel(copies(), field), oracles.kernel(copies(), field)
+        assert len(kernel) == len(reference)
+        for vector in kernel:
+            combination = {}
+            for i, c in vector.items():
+                for k, a in rows[i].items():
+                    combination[k] = field.add(combination.get(k, field.zero), field.mul(c, a))
+            assert not any(combination.values()), rows
+            assert len(oracles.echelon([dict(v) for v in (*reference, vector)], field)) == len(reference)
+        if characteristic:
+            assert got == want and kernel == reference
+            continue
+        assert got.keys() == want.keys()
+        for col, pivot in got.items():
+            assert all(type(c) is int for c in pivot.values()) and pivot[col] > 0
+            assert gcd(*pivot.values()) == 1
+            assert {k: Fraction(c, pivot[col]) for k, c in pivot.items()} == want[col]

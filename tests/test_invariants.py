@@ -506,7 +506,11 @@ def test_verify_statements_rational_singularity():
     )
     by_name = {c.name: c for c in checks}
     assert by_name["n3_equals_reduction_number_conjecture"].status == "CONSISTENT"
-    assert by_name["rees_regularity_bound"].status == "HOLDS"
+    # reg G(m) <= reg_G_upper = 1 refutes the recorded regularity 8
+    assert (by_name["rees_regularity_bound"].status, by_name["rees_regularity_bound"].detail) == (
+        "VIOLATION",
+        "known_reg=8 > reg_G_upper=1: the recorded regularity exceeds the certified bound",
+    )
     assert by_name["dim1_reduction_formula"].status == "SKIPPED"
     assert by_name["n1_le_reg_G_upper"].status == "HOLDS"
     assert by_name["n1_le_reg_G_upper"].detail == (
@@ -522,6 +526,8 @@ def test_verify_compares_n1_and_known_reg_with_the_certified_bound():
     assert (check.status, check.detail) == (
         "HOLDS", "n1=3 = reg_G_upper=3; known_reg=3 = reg_G_upper=3"
     )
+    check = {c.name: c for c in checks}["rees_regularity_bound"]
+    assert (check.status, check.detail) == ("HOLDS", "n1=3 <= reg=3")  # at the bound
     # rr_colon_descends reads closures up to alpha + 2, past the s-scan
     assert {c.name: c for c in checks}["rr_colon_descends"].detail == (
         "checked consecutive closures up to power 5"

@@ -169,6 +169,39 @@ def test_ring_axioms_randomized():
         assert f + g == g + f
 
 
+def _schoolbook(f, g):
+    field, d = f.ring.field, {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            d[m] = field.add(d.get(m, field.zero), field.mul(c1, c2))
+    return f.ring.from_dict(d)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["F_p", "Q"])
+def test_products_by_a_term_match_the_schoolbook_product(field):
+    # A one-term factor goes to `mul_term`, which builds the product already
+    # sorted (from_dict sorts the reference) and skips the coefficient
+    # products by one.  Terms: one, other constants, monic and non-monic
+    # monomials; factors of every order, zero included.
+    rng = random.Random(19)
+    orders = [MonomialOrder.degrevlex(), MonomialOrder.lex(), MonomialOrder.elimination(1)]
+    for case in range(300):
+        ring = PolyRing(["x", "y", "z"], field, orders[case % 3])
+        f = _random_poly(rng, ring)
+        m = Monomial(rng.choice([(0, 0, 0), tuple(rng.randrange(4) for _ in range(3))]))
+        c = field.one if case % 4 < 2 else field.from_fraction(rng.choice([-7, -1, 2, 5]), rng.choice([1, 3]))
+        term = ring.from_dict({m: c})
+        want = _schoolbook(f, term)
+        assert f * term == term * f == f.mul_term(m, c) == want
+    for ring in (R2, RQ):
+        f, one, zero = ring.parse("3*x^2*y - y + 2"), ring.one(), ring.zero()
+        assert f * one == one * f == f.mul_term(one.lead_monomial, ring.field.one) == f
+        assert (f * zero).is_zero() and (zero * f).is_zero() and (zero * one).is_zero()
+        assert zero.mul_term(f.lead_monomial, ring.field.one).is_zero()
+        assert f.mul_term(f.lead_monomial, ring.field.zero).is_zero()
+
+
 def test_degree_additivity_over_field():
     rng = random.Random(17)
     for _ in range(200):
