@@ -11,8 +11,10 @@ exponent, and its place in the monomial order an integer key from
 MonomialOrder.weights.  Both are additive under multiplication, and m
 divides t iff t - m sets none of the guard bits (the top bit of each
 exponent field), which stay clear while every exponent is below _BOUND.
-Over F_p reducers are stored monic; over Q, division runs on integers and
-the remainders are exact (see _Reducers.reduce).
+Over F_p the loop keeps its basis monic.  Over Q it keeps it integral and
+primitive with a positive lead, from the S-pair through division (see
+_Reducers.reduce) to each remainder, and only the reduced basis is made
+monic, with Fractions.
 """
 from __future__ import annotations
 
@@ -88,44 +90,40 @@ class _Reducers:
         if g.ring is not self.ring:
             raise RingMismatchError("normal_form: ring or order mismatch")
         if g:
-            terms = g.terms
-            if not self.ring.characteristic:
-                ints = _integral([c for _, c in terms])[1]
-                content = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-                terms = [(m, c // content) for (m, _), c in zip(terms, ints)]
-            elif g.lead_coeff != 1:
-                terms = g.monic().terms
-            tail = tuple([(*self.pack(m), c) for m, c in terms[1:]])
-            entry = (*self.pack(g.lead_monomial), terms[0][1], tail)
-            insort(self.entries, entry, key=itemgetter(0))
+            (lead, a), *rest = _normalized(g).terms
+            tail = tuple([(*self.pack(m), c) for m, c in rest])
+            insort(self.entries, (*self.pack(lead), a, tail), key=itemgetter(0))
 
     def discard_multiples(self, m: Monomial):
         """Drop the entries whose lead monomial m divides."""
         packed, guard = self.pack(m)[1], self.guard
         self.entries = [e for e in self.entries if (e[1] - packed) & guard]
 
-    def reduce(self, terms: Iterable[tuple]) -> list:
-        """Remainder of the terms (monomial, coefficient) on full division
-        by the entries, largest term first.
+    def reduce(self, terms: Iterable[tuple]) -> tuple[int, list]:
+        """(scale, r) with r the remainder of the terms (monomial,
+        coefficient) on full division by the entries, largest term first:
+        exact for rational terms, and scale times it for integral ones.
 
         The next term to reduce is popped from a heap of negated keys.  A
         cancelled term leaves its heap entry behind; the entry is skipped
-        when popped.  Every term a reduction step adds is smaller than the
-        one it removes, so a popped monomial never comes back.
+        when popped.  Every term a step adds is smaller than the one it
+        removes, so a popped monomial never comes back.
 
         Over Q the work holds `scale` times the true coefficients, all
-        integers (fraction-free, as in Bareiss's elimination): a step by a
-        lead a > 1 first multiplies the work and the scale by a / gcd(a, c).
-        A final term leaves as the exact c / scale.  Over F_p the scale is 1.
+        integers (fraction-free, as in Bareiss's elimination): rational
+        terms are first cleared of denominators, and a step by a lead a > 1
+        multiplies the work, the remainder so far and the scale by
+        a / gcd(a, c).  Over F_p the scale is 1.
         """
         p = self.ring.field.characteristic
         guard, entries = self.guard, self.entries
-        work, packed = {}, {}
+        work, packed, c = {}, {}, 0
         for m, c in terms:
             key, e = self.pack(m)
             work[key], packed[key] = c, e
         scale, limit = 1, _CONTENT_BITS
-        if not p:
+        rational = type(c) is Fraction
+        if rational:
             scale, ints = _integral(work.values())
             work = dict(zip(work, ints))
         heap = [-key for key in work]
@@ -141,7 +139,7 @@ class _Reducers:
                 if not (e - lead) & guard:
                     break
             else:
-                remainder.append((self.unpack(e), c if p else Fraction(c, scale)))
+                remainder.append((self.unpack(e), c))
                 continue
             if a != 1:
                 g = gcd(a, c)
@@ -150,11 +148,13 @@ class _Reducers:
                     scale *= a
                     for t in work:
                         work[t] *= a
+                    remainder = [(m, r * a) for m, r in remainder]
                     if scale.bit_length() > limit:
-                        g = gcd(scale, c, *work.values())
+                        g = gcd(scale, c, *work.values(), *(r for _, r in remainder))
                         scale, c = scale // g, c // g
                         for t in work:
                             work[t] //= g
+                        remainder = [(m, r // g) for m, r in remainder]
                         limit = scale.bit_length() + _CONTENT_BITS
             shift_key, shift = key - lead_key, e - lead
             for tail_key, tail_e, cc in tail:
@@ -173,13 +173,29 @@ class _Reducers:
                     work[t] = s
                 else:
                     del work[t]
-        return remainder
+        return scale, [(m, Fraction(c, scale)) for m, c in remainder] if rational else remainder
 
 
 def _integral(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
     """(d, [d * c]) for the least common denominator d of the rationals."""
     d = lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _normalized(g: Polynomial) -> Polynomial:
+    """The nonzero g in the form the completion loop keeps: monic over F_p;
+    over Q integral and primitive, with a positive lead."""
+    if type(g.terms[0][1]) is int and g.terms[0][1] == 1:
+        return g
+    if g.ring.characteristic:
+        return g.monic()
+    ints = [c for _, c in g.terms]
+    if type(ints[0]) is Fraction:
+        ints = _integral(ints)[1]
+    content = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+    if content == 1 and type(g.lead_coeff) is int:
+        return g
+    return Polynomial(g.ring, tuple([(m, c // content) for (m, _), c in zip(g.terms, ints)]))
 
 
 class GroebnerBasis:
@@ -224,7 +240,8 @@ class GroebnerBasis:
 
 def normal_form(f: Polynomial, G: "GroebnerBasis | Sequence[Polynomial]") -> Polynomial:
     """Remainder of f on division by G; zero iff f lies in the ideal when G
-    is a Groebner basis."""
+    is a Groebner basis.  Over Q an f with integer coefficients, as only
+    `buchberger` makes them, gives a positive integral multiple of it."""
     if isinstance(G, GroebnerBasis):
         G = G.reducers
     elif not isinstance(G, _Reducers):
@@ -233,26 +250,33 @@ def normal_form(f: Polynomial, G: "GroebnerBasis | Sequence[Polynomial]") -> Pol
         raise RingMismatchError("normal_form: ring or order mismatch")
     if f.is_zero():
         return f
-    return Polynomial(f.ring, tuple(G.reduce(f.terms)))
+    return Polynomial(f.ring, tuple(G.reduce(f.terms)[1]))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """(L / LT(f))·f - (L / LT(g))·g, L the lcm of the leads, over F_p; over
+    Q the nonzero multiple (b/d)·(L / LM(f))·f - (a/d)·(L / LM(g))·g, with a
+    and b the lead coefficients and d = gcd(a, b), which keeps integral input
+    integral.  The two agree for monic leads."""
     if f.ring is not g.ring:
         raise RingMismatchError("s_polynomial: polynomials from different rings")
     field = f.ring.field
-    lcm = f.lead_monomial.lcm(g.lead_monomial)
+    lcm, a, b = f.lead_monomial.lcm(g.lead_monomial), f.lead_coeff, g.lead_coeff
+    if field.characteristic:
+        kf, kg = a if a == 1 else field.inv(a), b if b == 1 else field.inv(b)
+    else:
+        kf, kg = Fraction(b, a).as_integer_ratio()
 
-    def tail(h):  # the tail of h times lcm / (lead term of h)
-        shift, c = lcm.div(h.lead_monomial), h.lead_coeff
-        if c == field.one:  # monic, the rule in `buchberger`: no inverse, no products
-            return [(m.mul(shift), k) for m, k in h.terms[1:]]
-        c, fmul = field.inv(c), field.mul
-        return [(m.mul(shift), fmul(k, c)) for m, k in h.terms[1:]]
+    def tail(h, k):  # the tail of h times k·lcm / LM(h)
+        shift = lcm.div(h.lead_monomial)
+        if k == 1:  # a monic lead over F_p, or a lead dividing the other: no products
+            return [(m.mul(shift), c) for m, c in h.terms[1:]]
+        return [(m.mul(shift), field.mul(c, k)) for m, c in h.terms[1:]]
 
     # The scaled lead terms cancel; only the tails are combined.
-    d, fsub, zero = dict(tail(f)), field.sub, field.zero
-    for t, k in tail(g):
-        d[t] = fsub(d.get(t, zero), k)
+    d, fsub = dict(tail(f, kf)), field.sub
+    for t, c in tail(g, kg):
+        d[t] = fsub(d.get(t, 0), c)
     return f.ring._sorted(d.items())
 
 
@@ -264,14 +288,16 @@ def reduce_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> GroebnerBasis:
     minimal: list[Polynomial] = []
     for g in basis:
         if not any(h.lead_monomial.divides(g.lead_monomial) for h in minimal):
-            minimal.append(g.monic())
+            minimal.append(_normalized(g))
     # Tail-reduce against the whole minimal basis: a lead never divides a
-    # monomial below it, so no element's own lead touches its tail.
-    reducers = _Reducers(ring, minimal)
-    reduced = [
-        Polynomial(ring, (g.terms[0],) + tuple(reducers.reduce(g.terms[1:])))
-        for g in minimal
-    ]
+    # monomial below it, so no element's own lead touches its tail.  Over
+    # Q the tail of g = a·lead + tail leaves as r / (a·scale), made monic.
+    reducers, reduced, rational = _Reducers(ring, minimal), [], not ring.characteristic
+    for g in minimal:
+        (lead, a), (scale, rest) = g.terms[0], reducers.reduce(g.terms[1:])
+        if rational:
+            rest = [(m, Fraction(c, a * scale)) for m, c in rest]
+        reduced.append(Polynomial(ring, ((lead, ring.field.one), *rest)))
     return GroebnerBasis(ring, reduced)
 
 
@@ -316,7 +342,8 @@ def buchberger(
     generators: Sequence[Polynomial], degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`, in the
-    order of their ring."""
+    order of their ring.  The working basis is kept `_normalized`, so over
+    Q it holds integers until `reduce_basis` makes the result monic."""
     gens = list(generators)
     if not gens:
         raise PolyringError("buchberger: empty generator list")
@@ -332,7 +359,7 @@ def buchberger(
     for g in sorted((g for g in gens if g), key=lambda g: ring.order.key(g.lead_monomial)):
         r = normal_form(g, reducers) if basis else g
         if r:
-            basis.append(r.monic())
+            basis.append(_normalized(r))
             reducers.add(basis[-1])
     if not basis:
         return GroebnerBasis(ring, ())
@@ -358,7 +385,7 @@ def buchberger(
             continue
         if r.total_degree > degree_cap:
             raise DegreeCapExceeded(r.total_degree, degree_cap)
-        h = r.monic()
+        h = _normalized(r)
         basis.append(h)
         leads.append(h.lead_monomial)
         packed_leads.append(reducers.pack(h.lead_monomial)[1])

@@ -12,22 +12,25 @@ finite-dimensional, and local and global questions about N agree.  Its
 `QuotientView` numbers the standard monomials of N and keeps the maps
 M_{x_i} of multiplication by each variable on them, so that a colon N : b
 is N plus the lifts of the kernel of b· on P/N (one Buchberger run, no
-elimination), and membership in N is a normal form.  Ranks and kernels
+elimination), and membership in N is a normal form.  Over Q the maps
+are integral, with one common denominator per view, and ranks and kernels
 come from one echelon form, fraction-free over Q (`_echelon`), so kernel
-vectors are integral.  Every other colon is
-the tag-variable elimination of `_colon_single`, and so is every
-intersection.  That elimination homogenizes both degrevlex bases by a fresh
-last variable h first (`_intersect_lifts`), which keeps its coefficients
-small; this is why the ambient order must be degrevlex.
+vectors are integral.  Every other colon is the tag-variable elimination
+of `_colon_single`, and so is every intersection.  That elimination
+homogenizes both degrevlex bases by a fresh last variable h first
+(`_intersect_lifts`), which keeps its coefficients small; this is why the
+ambient order must be degrevlex.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
+    _integral,
     buchberger,
     eliminate,
     normal_form,
@@ -218,30 +221,39 @@ def _check_same_ring(A: IdealHandle, B: IdealHandle):
 
 class QuotientView(NamedTuple):
     """P/N for an ideal N of P that contains a power of m: the standard
-    monomials of N.gb, numbered, and the maps M_{x_i} of multiplication by
-    each variable, maps[i][k] the coordinates of x_i times standard
-    monomial k.  A vector is a sparse dict {number: coefficient}."""
+    monomials of N.gb, numbered, and the maps D·M_{x_i} of multiplication
+    by each variable, maps[i][k] the coordinates of D·x_i times standard
+    monomial k, integral with D the common denominator of the M_{x_i} (1
+    over F_p).  A vector is a sparse dict {number: coefficient}."""
 
     ideal: IdealHandle
     std: list[Monomial]
     index: dict[Monomial, int]
     maps: list[list[dict]]
+    denominator: int
 
-    def times(self, b: Polynomial, vector: dict) -> dict:
-        """The coordinates of b·v, read off the maps with no normal form."""
-        p, out = b.ring.characteristic, {}
-        for m, c in b.terms:
-            v = vector
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    v = _apply(self.maps[i], v, p)
-            _add_into(out, v, c, p)
-        return out
+    def times(self, b: Polynomial, vectors: list[dict]) -> list[dict]:
+        """The coordinates of b·v for each v, read off the maps with no
+        normal form, times D^deg(b) and the lcm of b's denominators: integral
+        for integral v, with the ranks and kernels of b· itself."""
+        p, top = b.ring.characteristic, b.total_degree
+        coeffs = [c for _, c in b.terms] if p else _integral([c for _, c in b.terms])[1]
+        scaled = [(m, c * self.denominator ** (top - sum(m))) for (m, _), c in zip(b.terms, coeffs)]
+        images = []
+        for vector in vectors:
+            out: dict = {}
+            for m, c in scaled:
+                v = vector
+                for i, e in enumerate(m):
+                    for _ in range(e):
+                        v = _apply(self.maps[i], v, p)
+                _add_into(out, v, c, p)
+            images.append(out)
+        return images
 
     def images(self, b: Polynomial) -> list[dict]:
-        """The matrix of b· on P/N, one row per standard monomial."""
-        one = b.ring.field.one
-        return [self.times(b, {k: one}) for k in range(len(self.std))]
+        """The matrix of b· on P/N, one row per standard monomial, as `times` scales it."""
+        return self.times(b, [{k: 1} for k in range(len(self.std))])
 
     def colon(self, b: Polynomial) -> IdealHandle:
         """N : b in P, N plus the lifts of the kernel of b· on P/N."""
@@ -280,7 +292,7 @@ def _quotient_view(N: IdealHandle) -> QuotientView | None:
     That holds exactly when N.gb has finitely many standard monomials (a
     pure power of each variable is a lead) and every variable is nilpotent
     on P/N.  The normal forms of x_i * u for standard u list them all, and
-    are the columns of the maps.
+    are the columns of the maps, cleared of denominators over Q.
     """
     amb = N.ring.ambient
     leads = [g.lead_monomial for g in N.gb.basis]
@@ -298,17 +310,21 @@ def _quotient_view(N: IdealHandle) -> QuotientView | None:
                     std.append(v)
                 image[index[v]] = c
             matrix.append(image)
+    p, d = amb.characteristic, 1
+    if not p:
+        d = lcm(*(c.denominator for matrix in maps for image in matrix for c in image.values()))
+        maps = [[{k: c.numerator * (d // c.denominator) for k, c in col.items()} for col in matrix]
+                for matrix in maps]
     # x is nilpotent on P/N iff x^λ lies in N, λ = len(std).
-    p = amb.characteristic
     for matrix in maps:
-        power = {0: amb.field.one}
+        power = {0: 1}
         for _ in std:
             power = _apply(matrix, power, p)
             if not power:
                 break
         else:
             return None
-    return QuotientView(N, std, index, maps)
+    return QuotientView(N, std, index, maps, d)
 
 
 def quotient_view(N: IdealHandle) -> QuotientView | None:
@@ -375,7 +391,7 @@ def _kernel(rows: list[dict], field) -> list[dict]:
     a row that eliminates to its tags becomes a pivot on a tag column: the
     tags of those pivots are the kernel, and the other pivots the rank.
     """
-    tagged = [{**row, -1 - i: field.one} for i, row in enumerate(rows)]
+    tagged = [{**row, -1 - i: 1} for i, row in enumerate(rows)]
     return [
         {-1 - k: c for k, c in pivot.items()}
         for col, pivot in _echelon(tagged, field).items() if col < 0
@@ -464,21 +480,27 @@ def _colon_single(
 
 
 def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b when b divides f exactly (f is in (b))."""
-    ring = f.ring
-    field = ring.field
-    q_terms: dict = {}
-    rest = f
-    lb, cb = b.lead_monomial, b.lead_coeff
-    while rest:
-        lm, lc = rest.lead_monomial, rest.lead_coeff
-        if not lb.divides(lm):
+    """Quotient f/b when b divides f exactly (f is in (b)): division in one
+    pass over a dict of the rest, its largest term popped from a heap."""
+    field, key = f.ring.field, f.ring.order.desc_key
+    (lb, cb), rest, quotient = b.terms[0], dict(f.terms), []
+    heap = [(key(m), m) for m in rest]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = rest.pop(m)
+        if not c:  # cancelled
+            continue
+        if not lb.divides(m):
             raise IdealcalcError("exact division failed; intersection was not a multiple")
-        m = lm.div(lb)
-        c = field.div(lc, cb)
-        q_terms[m] = field.add(q_terms.get(m, field.zero), c)
-        rest = rest - b.mul_term(m, c)
-    return ring.from_dict(q_terms)
+        q, c = m.div(lb), field.div(c, cb)
+        quotient.append((q, c))
+        for t, k in b.terms[1:]:
+            t = t.mul(q)
+            if t not in rest:  # every term of the rest has one heap entry
+                heappush(heap, (key(t), t))
+            rest[t] = field.sub(rest.get(t, 0), field.mul(c, k))
+    return Polynomial(f.ring, tuple(quotient))
 
 
 def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:

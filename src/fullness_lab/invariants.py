@@ -273,15 +273,10 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
         return RRChainRecord(n, low, 0)
     high = ring.m_power(N)
     domain, target = quotient_view(low).std, quotient_view(high)
-    one = amb.field.one
-
-    def image(u: Monomial) -> dict:
-        v = {target.index[u]: one}
-        for _ in range(N - n):
-            v = target.times(x, v)
-        return v
-
-    kernel = _kernel([image(u) for u in domain], amb.field)
+    images = [{target.index[u]: 1} for u in domain]
+    for _ in range(N - n):
+        images = target.times(x, images)
+    kernel = _kernel(images, amb.field)
     lifts = [amb.from_dict({domain[i]: c for i, c in vector.items()}) for vector in kernel]
     closure = IdealHandle(ring, [*low.gb.basis, *lifts]) if lifts else low
     for j in range(N - n + 1):

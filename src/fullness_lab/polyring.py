@@ -62,8 +62,8 @@ class PrimeField:
         self.p = p
 
     characteristic = property(lambda self: self.p)
-    zero = property(lambda self: 0)
-    one = property(lambda self: 1)
+    zero = 0
+    one = 1
 
     def normalize(self, x: int) -> int:
         return x % self.p
@@ -607,9 +607,9 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        out = []
+        out, rational = [], not self.ring.characteristic
         for i, (m, c) in enumerate(self.terms):
-            neg = isinstance(c, Fraction) and c < 0
+            neg = rational and c < 0
             body = self._term_str(m, -c if neg else c)
             if i == 0:
                 out.append(f"-{body}" if neg else body)

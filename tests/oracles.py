@@ -7,11 +7,13 @@ colons), and low-degree colon membership can be decided by linear algebra
 over F_p.  These stay deliberately separate from the library code paths
 they validate.
 
-The last four sections are the exception.  Substitution of polynomials
-for variables uses the library's polynomial arithmetic.  Division and
-elimination in the field's own arithmetic (fractions over Q) are the
-references for the integral division of `groebner.normal_form` and for the
-fraction-free echelon form behind `idealcalc._rank` and `idealcalc._kernel`.
+The last five sections are the exception.  Substitution of polynomials
+for variables uses the library's polynomial arithmetic.  Division, the
+maps of multiplication on P/N and elimination in the field's own
+arithmetic (fractions over Q) are the references for the integral division
+of `groebner.normal_form`, for the integral maps of `idealcalc.QuotientView`
+and for the fraction-free echelon form behind `idealcalc._rank` and
+`idealcalc._kernel`.
 The plain tag-variable elimination, with no homogenization, is the
 reference for the intersections and the colons of `idealcalc`, which
 homogenize before they eliminate.  The Groebner colon, one such colon per
@@ -208,6 +210,54 @@ def divide(f, divisors):
             else:
                 work.pop(t, None)
     return ring.from_dict(remainder)
+
+
+# -- the quotient view in the field's own arithmetic --------------------------
+
+def view_maps(N) -> tuple[list, list]:
+    """(std, maps) of P/N for an ideal N that contains a power of m: the
+    standard monomials, numbered as `idealcalc.quotient_view` numbers them,
+    and the maps M_{x_i} in the field's own arithmetic, maps[i][k] the
+    coordinates of the remainder (by `divide`) of x_i times monomial k."""
+    amb = N.ring.ambient
+    std = [amb.one().lead_monomial]
+    index = {std[0]: 0}
+    maps = [[] for _ in amb.variables]
+    for u in std:
+        for x, matrix in zip(amb.gens(), maps):
+            image = {}
+            for v, c in divide(x * amb.monomial(u), N.gb.basis).terms:
+                if v not in index:
+                    index[v] = len(std)
+                    std.append(v)
+                image[index[v]] = c
+            matrix.append(image)
+    return std, maps
+
+
+def view_times(maps: list, b, vector: dict) -> dict:
+    """The coordinates of b·v on the maps of `view_maps`, in the field's own
+    arithmetic."""
+    field, out = b.ring.field, {}
+
+    def add_into(target, v, c):
+        for k, a in v.items():
+            s = field.add(target.get(k, field.zero), field.mul(c, a))
+            if s:
+                target[k] = s
+            else:
+                target.pop(k, None)
+
+    for m, c in b.terms:
+        v = vector
+        for i, e in enumerate(m):
+            for _ in range(e):
+                image = {}
+                for k, a in v.items():
+                    add_into(image, maps[i][k], a)
+                v = image
+        add_into(out, v, c)
+    return out
 
 
 # -- elimination in the field's own arithmetic --------------------------------

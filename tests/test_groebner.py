@@ -1,5 +1,6 @@
 """Tests for division, Buchberger completion, and elimination."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fullness_lab.groebner import (
     normal_form,
     s_polynomial,
 )
-from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PolyringError, PrimeField
+from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PolyringError, Polynomial, PrimeField
 
 R2 = PolyRing(["x", "y"], PrimeField(32003))
 R3 = PolyRing(["x", "y", "z"], PrimeField(32003))
@@ -203,9 +204,12 @@ def test_basis_object_semantics():
 
 @pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["F_p", "Q"])
 def test_s_polynomials_match_the_generic_formula(field):
-    # A monic lead takes no inverse and no products; every pair, monic or
-    # not, constants and one included, gives (L / LT(f))·f - (L / LT(g))·g
-    # with L the lcm of the leads.
+    # The generic S-polynomial is (L / LT(f))·f - (L / LT(g))·g with L the
+    # lcm of the leads.  Over F_p, and for monic leads over Q, s_polynomial
+    # gives exactly that; over Q it gives a nonzero multiple, and for
+    # integral input with positive leads a and b, the form `buchberger`
+    # keeps, lcm(a, b) times it with integer coefficients.  Pairs: monic and
+    # non-monic leads, one, a constant; the zero polynomial is refused.
     rng = random.Random(19)
     ring = PolyRing(["x", "y", "z"], field)
 
@@ -217,17 +221,36 @@ def test_s_polynomials_match_the_generic_formula(field):
             f = ring.from_dict(terms)
         return f.monic() if monic else f
 
-    cases = [(draw(case % 2 == 0), draw(case % 3 == 0)) for case in range(200)]
-    constant = ring.constant(field.from_fraction(-2, 3))
-    cases += [(ring.one(), draw(True)), (draw(False), constant), (constant, ring.one())]
-    for f, g in cases:
-        lcm, generic = f.lead_monomial.lcm(g.lead_monomial), {}
+    def generic(f, g):
+        lcm, terms = f.lead_monomial.lcm(g.lead_monomial), {}
         for h, sign in ((f, field.one), (g, field.neg(field.one))):
             q, shift = field.div(sign, h.lead_coeff), lcm.div(h.lead_monomial)
             for m, c in h.terms:
                 t = m.mul(shift)
-                generic[t] = field.add(generic.get(t, field.zero), field.mul(q, c))
-        assert s_polynomial(f, g) == ring.from_dict(generic), (f, g)
+                terms[t] = field.add(terms.get(t, field.zero), field.mul(q, c))
+        return ring.from_dict(terms)
+
+    def integral(f):  # f cleared of denominators, with a positive lead
+        d = math.lcm(*(c.denominator for _, c in f.terms)) * (1 if f.lead_coeff > 0 else -1)
+        return Polynomial(ring, tuple((m, int(c * d)) for m, c in f.terms))
+
+    cases = [(draw(case % 2 == 0), draw(case % 3 == 0)) for case in range(200)]
+    constant = ring.constant(field.from_fraction(-2, 3))
+    cases += [(ring.one(), draw(True)), (draw(False), constant), (constant, ring.one())]
+    for f, g in cases:
+        got, want = s_polynomial(f, g), generic(f, g)
+        if field.characteristic or f.lead_coeff == g.lead_coeff == 1:
+            assert got == want, (f, g)
+        elif want:
+            assert got == want.scale(got.lead_coeff / want.lead_coeff), (f, g)
+        else:
+            assert not got, (f, g)
+        if field.characteristic:
+            continue
+        f, g = integral(f), integral(g)
+        got = s_polynomial(f, g)
+        assert all(type(c) is int for _, c in got.terms), (f, g)
+        assert got == generic(f, g).scale(math.lcm(f.lead_coeff, g.lead_coeff)), (f, g)
     with pytest.raises(PolyringError):
         s_polynomial(draw(True), ring.zero())
 

@@ -32,7 +32,7 @@ from fullness_lab.idealcalc import (
     times_m_power,
 )
 from fullness_lab.invariants import _ladder, ratliff_rush_power, reg_G_upper
-from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PrimeField
+from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PrimeField, monomials_of_degree
 
 P32 = PrimeField(32003)
 REG2 = QuotientRing(PolyRing(["x", "y"], P32))
@@ -402,6 +402,60 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
         got = ideal_intersection(A, B).gb.basis
         assert got == oracles.tag_intersection(amb, A.gb.basis, B.gb.basis).basis, (A, B)
         assert ideal_colon(A, B).gb.basis == oracles.groebner_colon(A, B).gb.basis, (A, B)
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_integral_view_maps_keep_the_ranks_and_kernels_of_the_field_arithmetic(characteristic):
+    # Over Q a view keeps D·M_{x_i} on integers, and `images(b)` is the
+    # matrix of b· times one nonzero factor; `oracles.view_maps` keeps
+    # M_{x_i} in the field's own arithmetic, and over F_p both are one.
+    # Numerators: ladder rungs of the fast corpus rings, the closures of
+    # m-powers there, the closures of qq_reference.json and truncations of
+    # its bases.  Multipliers: the variables, a linear form, and a form with
+    # denominators in three degrees.  Same standard monomials, images one
+    # multiple of the reference's, equal ranks and kernel dimensions, and
+    # `view.colon(b)` the Groebner colon.
+    field = PrimeField(characteristic) if characteristic else QQ
+    numerators = []
+    for name in ("example_4_1", "example_4_2_I", "regular_2d"):
+        problem = corpus.load(name)
+        problem["ring"]["characteristic"] = characteristic
+        ring = cli.build_ring(problem)
+        I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
+        numerators += [_ladder(I, n, c) for n, c in ((0, 2), (1, 1), (2, 2))]
+        numerators += [ratliff_rush_power(ring, n).stable_value for n in (1, 2)]
+    spec = QQ_REFERENCE["rr_ring"]
+    amb = PolyRing(spec["variables"], field)
+    rr_ring = QuotientRing(amb, [amb.parse(f) for f in spec["relations"]])
+    numerators += [rr_ring.parse_ideal(ref["stable_value"]) for ref in QQ_REFERENCE["rr"].values()]
+    base_ring = QuotientRing(PolyRing(QQ_REFERENCE["ring"]["variables"], field))
+    for entry in QQ_REFERENCE["bases"].values():
+        A = base_ring.parse_ideal(entry["generators"])
+        numerators += [_ladder(A, n, c) for n, c in ((0, 4), (0, 5), (1, 3))]
+    rng, amb = random.Random(20), base_ring.ambient
+    for _ in range(4):  # two quadrics with denominators, truncated at m^4
+        quadrics = [amb.from_dict({m: field.from_fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                   for m in monomials_of_degree(3, 2)}) for _ in range(2)]
+        numerators.append(_ladder(base_ring.ideal(quadrics), 0, 4))
+    for N in numerators:
+        view, amb = quotient_view(N), N.ring.ambient
+        std, maps = oracles.view_maps(N)
+        assert view.std == std, str(N)
+        x = amb.variables
+        forms = [*amb.gens(), amb.parse(" + ".join(f"{k + 2}*{v}" for k, v in enumerate(x))),
+                 amb.parse(f"1/2*{x[0]}^2 - 2/3*{x[-1]} + 5/7*{x[0]}*{x[-1]}^2")]
+        for b in forms:
+            got = view.images(b)
+            want = [oracles.view_times(maps, b, {k: field.one}) for k in range(len(std))]
+            if characteristic:
+                assert got == want, (str(N), str(b))
+            else:
+                factor = next((Fraction(row[k]) / want_row[k] for row, want_row in zip(got, want) for k in row), 1)
+                assert all(row == {k: factor * c for k, c in want_row.items()} for row, want_row in zip(got, want))
+            assert _rank(view.images(b), field) == len(oracles.echelon([dict(r) for r in want], field))
+            assert len(_kernel(got, field)) == len(oracles.kernel(want, field)), (str(N), str(b))
+        for b in forms[-2:]:
+            assert view.colon(b).gb.basis == oracles.groebner_colon(N, N.ring.ideal([b])).gb.basis
 
 
 def _seeded_rows(rng: random.Random, field, nrows: int, ncols: int) -> list[dict]:

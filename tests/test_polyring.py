@@ -13,6 +13,7 @@ from fullness_lab.polyring import (
     MonomialOrder,
     ParseError,
     PolyRing,
+    Polynomial,
     PolyringError,
     PrimeField,
     QQ,
@@ -241,6 +242,24 @@ def test_print_parse_round_trip():
             f = _random_poly(rng, ring)
             text = str(f)
             assert str(parse_polynomial(text, ring)) == text
+
+
+def test_integer_coefficients_print_as_their_rational_equals():
+    # Inside Buchberger's loop and the quotient view, polynomials over Q may
+    # carry int coefficients; the sign of a term comes from the field, so
+    # they print as the equal parsed polynomial does.  Over F_p every
+    # coefficient is a nonnegative residue.
+    x, y = RQ.gen("x").lead_monomial, RQ.gen("y").lead_monomial
+    integral = Polynomial(RQ, ((x, 1), (y, -3)))
+    assert integral == parse_polynomial("x - 3*y", RQ)
+    assert str(integral) == str(parse_polynomial("x - 3*y", RQ)) == "x - 3*y"
+    assert str(Polynomial(RQ, ((x, -2), (y, 5)))) == "-2*x + 5*y"
+    assert str(parse_polynomial("x - 3*y", R2)) == "x + 32000*y"
+
+
+def test_prime_field_constants_belong_to_the_class():
+    assert (PrimeField.zero, PrimeField.one) == (0, 1)
+    assert PrimeField(7).characteristic == 7 and PrimeField().characteristic == 32003
 
 
 def test_monic_and_power():
