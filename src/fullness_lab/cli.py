@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import signal
 import sys
 import time
 from collections import OrderedDict
@@ -381,7 +380,8 @@ def _alarm_handler(signum, frame):
 
 
 def main(argv: list[str] | None = None) -> int:
-    import argparse  # here, not at the top: `run` never needs it
+    import argparse  # here, not at the top: `run` never needs them
+    import signal
 
     parser = argparse.ArgumentParser(
         prog="fullness-lab",

@@ -12,9 +12,10 @@ MonomialOrder.weights.  Both are additive under multiplication, and m
 divides t iff t - m sets none of the guard bits (the top bit of each
 exponent field), which stay clear while every exponent is below _BOUND.
 Over F_p the loop keeps its basis monic.  Over Q it keeps it integral and
-primitive with a positive lead, from the S-pair through division (see
-_Reducers.reduce) to each remainder, and only the reduced basis is made
-monic, with Fractions.
+primitive with a positive lead from the seeds on: each generator is made so
+before it is reduced, and each S-polynomial of two such elements is
+integral, so every division (see _Reducers.reduce) and every remainder is
+integral.  Only the reduced basis is made monic, with Fractions.
 """
 from __future__ import annotations
 
@@ -56,7 +57,8 @@ class _Reducers:
     """Division data of some polynomials: one (lead key, packed lead, lead
     coefficient, packed tail) entry per nonzero polynomial, smallest lead
     first so cheap reducers are tried before big ones.  Over F_p an entry
-    is monic; over Q it is integral and primitive with a positive lead."""
+    is monic; over Q it is integral and primitive with a positive lead.
+    `add` takes a polynomial already in that form (see `_normalized`)."""
 
     __slots__ = ("ring", "entries", "weights", "places", "guard")
 
@@ -89,10 +91,9 @@ class _Reducers:
     def add(self, g: Polynomial):
         if g.ring is not self.ring:
             raise RingMismatchError("normal_form: ring or order mismatch")
-        if g:
-            (lead, a), *rest = _normalized(g).terms
-            tail = tuple([(*self.pack(m), c) for m, c in rest])
-            insort(self.entries, (*self.pack(lead), a, tail), key=itemgetter(0))
+        (lead, a), *rest = g.terms
+        tail = tuple([(*self.pack(m), c) for m, c in rest])
+        insort(self.entries, (*self.pack(lead), a, tail), key=itemgetter(0))
 
     def discard_multiples(self, m: Monomial):
         """Drop the entries whose lead monomial m divides."""
@@ -211,7 +212,7 @@ class GroebnerBasis:
     def reducers(self) -> _Reducers:
         """Division data of the basis, built on first use."""
         if self._reducers is None:
-            self._reducers = _Reducers(self.ring, self.basis)
+            self._reducers = _Reducers(self.ring, map(_normalized, self.basis))
         return self._reducers
 
     def __iter__(self):
@@ -245,7 +246,7 @@ def normal_form(f: Polynomial, G: "GroebnerBasis | Sequence[Polynomial]") -> Pol
     if isinstance(G, GroebnerBasis):
         G = G.reducers
     elif not isinstance(G, _Reducers):
-        G = _Reducers(f.ring, G)
+        G = _Reducers(f.ring, [_normalized(g) for g in G if g])
     if G.ring is not f.ring:
         raise RingMismatchError("normal_form: ring or order mismatch")
     if f.is_zero():
@@ -342,8 +343,9 @@ def buchberger(
     generators: Sequence[Polynomial], degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`, in the
-    order of their ring.  The working basis is kept `_normalized`, so over
-    Q it holds integers until `reduce_basis` makes the result monic."""
+    order of their ring.  The working basis is kept `_normalized` from the
+    seeds on, so over Q every reduction in the loop is integral and the
+    basis holds integers until `reduce_basis` makes the result monic."""
     gens = list(generators)
     if not gens:
         raise PolyringError("buchberger: empty generator list")
@@ -353,14 +355,19 @@ def buchberger(
             raise RingMismatchError("buchberger: generators from different rings")
 
     # Seed the working basis by sequential reduction; unlike lead-term
-    # minimalization this never changes the generated ideal.
+    # minimalization this never changes the generated ideal.  Each seed is
+    # normalized before it is reduced, so over Q its reduction is integral.
     basis: list[Polynomial] = []
     reducers = _Reducers(ring)
     for g in sorted((g for g in gens if g), key=lambda g: ring.order.key(g.lead_monomial)):
-        r = normal_form(g, reducers) if basis else g
-        if r:
-            basis.append(_normalized(r))
-            reducers.add(basis[-1])
+        h = _normalized(g)
+        if basis:
+            r = normal_form(h, reducers)
+            if not r:
+                continue
+            h = _normalized(r)
+        basis.append(h)
+        reducers.add(h)
     if not basis:
         return GroebnerBasis(ring, ())
 

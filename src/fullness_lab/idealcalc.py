@@ -224,7 +224,8 @@ class QuotientView(NamedTuple):
     monomials of N.gb, numbered, and the maps D·M_{x_i} of multiplication
     by each variable, maps[i][k] the coordinates of D·x_i times standard
     monomial k, integral with D the common denominator of the M_{x_i} (1
-    over F_p).  A vector is a sparse dict {number: coefficient}."""
+    over F_p), each column from an integral reduction divided by its gcd
+    (`_quotient_view`).  A vector is a sparse dict {number: coefficient}."""
 
     ideal: IdealHandle
     std: list[Monomial]
@@ -291,8 +292,11 @@ def _quotient_view(N: IdealHandle) -> QuotientView | None:
 
     That holds exactly when N.gb has finitely many standard monomials (a
     pure power of each variable is a lead) and every variable is nilpotent
-    on P/N.  The normal forms of x_i * u for standard u list them all, and
-    are the columns of the maps, cleared of denominators over Q.
+    on P/N.  The remainders of x_i * u for standard u list them all, and
+    are the columns of the maps: each comes from an integral reduction as
+    (scale, remainder), divided by the gcd of both, so its scale is the
+    least common denominator of the exact column (1 over F_p and for a
+    zero column), and D is the lcm of the scales.
     """
     amb = N.ring.ambient
     leads = [g.lead_monomial for g in N.gb.basis]
@@ -300,21 +304,22 @@ def _quotient_view(N: IdealHandle) -> QuotientView | None:
         return None
     std = [amb.one().lead_monomial]
     index = {std[0]: 0}
-    maps: list[list[dict]] = [[] for _ in range(amb.nvars)]
+    maps: list[list] = [[] for _ in range(amb.nvars)]
+    reduce, units = N.gb.reducers.reduce, [x.lead_monomial for x in amb.gens()]
     for u in std:  # std grows while it is read, until closed under the x_i
-        for x, matrix in zip(amb.gens(), maps):
+        for x, matrix in zip(units, maps):
+            scale, rest = reduce(((x.mul(u), 1),))
+            g = gcd(scale, *(c for _, c in rest))
             image = {}
-            for v, c in normal_form(x * amb.monomial(u), N.gb).terms:
+            for v, c in rest:
                 if v not in index:
                     index[v] = len(std)
                     std.append(v)
-                image[index[v]] = c
-            matrix.append(image)
-    p, d = amb.characteristic, 1
-    if not p:
-        d = lcm(*(c.denominator for matrix in maps for image in matrix for c in image.values()))
-        maps = [[{k: c.numerator * (d // c.denominator) for k, c in col.items()} for col in matrix]
-                for matrix in maps]
+                image[index[v]] = c // g
+            matrix.append((scale // g, image))
+    p, d = amb.characteristic, lcm(*(s for matrix in maps for s, _ in matrix))
+    maps = [[col if s == d else {k: c * (d // s) for k, c in col.items()} for s, col in matrix]
+            for matrix in maps]
     # x is nilpotent on P/N iff x^λ lies in N, λ = len(std).
     for matrix in maps:
         power = {0: 1}

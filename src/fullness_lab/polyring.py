@@ -115,7 +115,7 @@ class RationalField:
     one = Fraction(1)
 
     def normalize(self, x) -> Fraction:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -360,7 +360,7 @@ class PolyRing:
 
     def constant(self, c) -> "Polynomial":
         c = self.field.normalize(c)
-        if c == self.field.zero:
+        if not c:
             return self.zero()
         return Polynomial(self, ((Monomial.unit(self.nvars), c),))
 
@@ -382,26 +382,23 @@ class PolyRing:
         return Polynomial(self, ((Monomial(exps), self.field.one),))
 
     def from_dict(self, d: dict) -> "Polynomial":
-        normalize, zero = self.field.normalize, self.field.zero
+        normalize = self.field.normalize
         return self._sorted((m, normalize(c)) for m, c in d.items())
 
     def _sorted(self, items) -> "Polynomial":
         """Polynomial from (exponents, normalized coefficient) pairs with
         distinct exponents; zero coefficients are dropped."""
-        desc_key, zero = self.order.desc_key, self.field.zero
+        desc_key = self.order.desc_key
         keyed = [
             (desc_key(m), m if type(m) is Monomial else Monomial(m), c)
             for m, c in items
-            if c != zero
+            if c
         ]
         keyed.sort()
         return Polynomial(self, tuple([(m, c) for _, m, c in keyed]))
 
     def parse(self, src: str) -> "Polynomial":
         return parse_polynomial(src, self)
-
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.variables, self.field, order)
 
     def extend_front(self, new_vars: Sequence[str]) -> "PolyRing":
         """Ring with `new_vars` prepended, under the elimination block order
@@ -433,7 +430,7 @@ class PolyRing:
                         )
                     continue
                 exps[pos] = e
-            d[tuple(exps)] = self.field.normalize(c)
+            d[tuple(exps)] = c
         return self.from_dict(d)
 
     def __repr__(self):
@@ -441,9 +438,10 @@ class PolyRing:
 
 
 class Polynomial:
-    """Normalized polynomial: term tuple strictly descending in ring order."""
+    """Normalized polynomial: term tuple strictly descending in ring order.
+    Immutable, so its hash is computed on first use and kept."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
@@ -539,20 +537,19 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         field = self.ring.field
         c = field.normalize(c)
-        if c == field.zero:
+        if not c:
             return self.ring.zero()
         return Polynomial(self.ring, tuple((m, field.mul(k, c)) for m, k in self.terms))
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
         """The product by the term c·m, already sorted: a monomial order is
         multiplicative."""
-        field = self.ring.field
-        if c == field.zero:
+        if not c:
             return self.ring.zero()
-        if c == field.one:
+        if c == 1:
             terms = [(Monomial(map(add, mm, m)), cc) for mm, cc in self.terms]
         else:
-            fmul = field.mul
+            fmul = self.ring.field.mul
             terms = [(Monomial(map(add, mm, m)), fmul(cc, c)) for mm, cc in self.terms]
         return Polynomial(self.ring, tuple(terms))
 
@@ -570,7 +567,7 @@ class Polynomial:
 
     def monic(self) -> "Polynomial":
         field = self.ring.field
-        if not self.terms or self.lead_coeff == field.one:
+        if not self.terms or self.lead_coeff == 1:
             return self
         inv = field.inv(self.lead_coeff)
         return Polynomial(self.ring, tuple((m, field.mul(c, inv)) for m, c in self.terms))
@@ -585,7 +582,11 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.ring, self.terms))
+            return h
 
     # -- printing ----------------------------------------------------------
 

@@ -273,6 +273,41 @@ def test_completion_loop_calls_module_level_kernels(monkeypatch):
     assert gb.reducers is gb.reducers  # built once per basis
 
 
+def test_rational_multiples_of_the_generators_change_neither_basis_nor_pairs(monkeypatch):
+    # Over Q each generator is made integral and primitive, with a positive
+    # lead, before the seeds are reduced, so scaling the generators by
+    # nonzero rationals (negative ones, large numerators and denominators)
+    # gives the same reduced basis, with Fraction coefficients, from the
+    # same S-polynomials.  Generator sets: seeded quadrics and cubics with
+    # denominators, one with a generator that is a multiple of another.
+    ring = PolyRing(["x", "y", "z"], QQ)
+    rng = random.Random(24)
+    calls = []
+    original = groebner.s_polynomial
+    monkeypatch.setattr(groebner, "s_polynomial", lambda f, g: calls.append(1) or original(f, g))
+
+    def run(gens):
+        del calls[:]
+        basis = buchberger(gens).basis
+        assert all(type(c) is Fraction for g in basis for _, c in g.terms)
+        return basis, len(calls)
+
+    def draw(degree):
+        return ring.from_dict({tuple(rng.randrange(degree + 1) for _ in range(3)):
+                               Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12))
+                               for _ in range(4)})
+
+    factors = [Fraction(-1), Fraction(3, 7), Fraction(-(10**20 + 1), 12), Fraction(1, 10**15 + 37)]
+    cases = [[draw(2), draw(2), draw(3)] for _ in range(4)]
+    cases.append([cases[0][0], cases[0][1], cases[0][0].scale(Fraction(-5, 2))])
+    for gens in cases:
+        want = run(gens)
+        assert want[1] >= 1
+        for k in (0, 2):
+            scaled = [g.scale(factors[(k + i) % len(factors)]) for i, g in enumerate(gens)]
+            assert run(scaled) == want, [str(g) for g in gens]
+
+
 def test_division_rejects_exponents_beyond_its_packing():
     huge = R2.monomial((1 << 31, 0))
     with pytest.raises(PolyringError):

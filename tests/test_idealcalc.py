@@ -4,7 +4,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -406,14 +406,16 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
 
 @pytest.mark.parametrize("characteristic", [32003, 0])
 def test_integral_view_maps_keep_the_ranks_and_kernels_of_the_field_arithmetic(characteristic):
-    # Over Q a view keeps D·M_{x_i} on integers, and `images(b)` is the
-    # matrix of b· times one nonzero factor; `oracles.view_maps` keeps
-    # M_{x_i} in the field's own arithmetic, and over F_p both are one.
+    # Over Q a view keeps D·M_{x_i} on integers, D the lcm of the
+    # denominators of the M_{x_i}, and `images(b)` is the matrix of b·
+    # times one nonzero factor; `oracles.view_maps` keeps M_{x_i} in the
+    # field's own arithmetic, and over F_p both are one.
     # Numerators: ladder rungs of the fast corpus rings, the closures of
     # m-powers there, the closures of qq_reference.json and truncations of
     # its bases.  Multipliers: the variables, a linear form, and a form with
-    # denominators in three degrees.  Same standard monomials, images one
-    # multiple of the reference's, equal ranks and kernel dimensions, and
+    # denominators in three degrees.  Same standard monomials, the same D
+    # and the maps exactly D times the reference's, images one multiple of
+    # the reference's, equal ranks and kernel dimensions, and
     # `view.colon(b)` the Groebner colon.
     field = PrimeField(characteristic) if characteristic else QQ
     numerators = []
@@ -441,6 +443,10 @@ def test_integral_view_maps_keep_the_ranks_and_kernels_of_the_field_arithmetic(c
         view, amb = quotient_view(N), N.ring.ambient
         std, maps = oracles.view_maps(N)
         assert view.std == std, str(N)
+        d = lcm(*(c.denominator for matrix in maps for col in matrix for c in col.values()))
+        assert view.denominator == d, str(N)
+        assert view.maps == [[{k: d * c for k, c in col.items()} for col in matrix] for matrix in maps]
+        assert all(type(c) is int for matrix in view.maps for col in matrix for c in col.values())
         x = amb.variables
         forms = [*amb.gens(), amb.parse(" + ".join(f"{k + 2}*{v}" for k, v in enumerate(x))),
                  amb.parse(f"1/2*{x[0]}^2 - 2/3*{x[-1]} + 5/7*{x[0]}*{x[-1]}^2")]
@@ -456,6 +462,38 @@ def test_integral_view_maps_keep_the_ranks_and_kernels_of_the_field_arithmetic(c
             assert len(_kernel(got, field)) == len(oracles.kernel(want, field)), (str(N), str(b))
         for b in forms[-2:]:
             assert view.colon(b).gb.basis == oracles.groebner_colon(N, N.ring.ideal([b])).gb.basis
+
+
+@pytest.mark.parametrize("field", [QQ, P32], ids=["Q", "F_p"])
+def test_equal_polynomials_hash_equal_and_equal_bases_share_memo_entries(field):
+    # A polynomial keeps its hash after the first use; equal polynomials
+    # built by parsing, from a dict and by arithmetic hash equal, so a memo
+    # key naming a basis built separately finds the entry, and a key naming
+    # another basis does not.
+    amb = PolyRing(["x", "y", "z"], field)
+    ring = QuotientRing(amb)
+    x, y, z = amb.gens()
+    half, minus_three_fifths = field.from_fraction(1, 2), field.from_fraction(-3, 5)
+    built = [
+        amb.parse("1/2*x^2*y - 3/5*y*z + 7"),
+        amb.from_dict({(2, 1, 0): half, (0, 1, 1): minus_three_fifths, (0, 0, 0): field.from_fraction(7)}),
+        (x * x * y).scale(half) + (y * z).scale(minus_three_fifths) + amb.constant(7),
+        amb.parse("(x^2*y - 6/5*y*z + 14) * 1/2 + x - x"),
+    ]
+    hashes = [hash(f) for f in built]
+    assert all(f == built[0] for f in built) and len(set(hashes)) == 1
+    assert [hash(f) for f in built] == hashes
+    others = [built[0] + x, built[0] * y, x * y, amb.parse("x^2*y")]
+    assert len({hash(f) for f in others} | set(hashes)) == len(others) + 1
+    A = ring.ideal([built[0], x * z - y ** 2, x ** 3])
+    B = ring.ideal([built[2].scale(field.from_fraction(-4)), amb.parse("y^2 - x*z"), amb.parse("x^3")])
+    assert A.gb.basis == B.gb.basis and all(f is not g for f, g in zip(A.gb.basis, B.gb.basis))
+    builds = []
+    assert ring.memo(("probe", A.gb.basis), lambda: builds.append("A") or "A") == "A"
+    assert ring.memo(("probe", B.gb.basis), lambda: builds.append("B") or "B") == "A"
+    C = ring.ideal([built[1], x * z - y ** 2])
+    assert ring.memo(("probe", C.gb.basis), lambda: builds.append("C") or "C") == "C"
+    assert builds == ["A", "C"]
 
 
 def _seeded_rows(rng: random.Random, field, nrows: int, ncols: int) -> list[dict]:

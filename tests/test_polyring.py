@@ -39,7 +39,7 @@ def test_parse_relation_two_terms():
     # degrevlex is degree-first, so the quartic term leads; under lex the
     # quadratic x*y leads instead.
     assert f.lead_monomial == Monomial((0, 0, 0, 4))
-    flex = parse_polynomial("x*y - t^4", R4.with_order(MonomialOrder.lex()))
+    flex = parse_polynomial("x*y - t^4", PolyRing(R4.variables, R4.field, MonomialOrder.lex()))
     assert flex.lead_monomial == Monomial((1, 1, 0, 0))
 
 
@@ -288,7 +288,9 @@ def test_rings_are_interned_and_weakly_held():
 
     assert PolyRing(["x", "y"], PrimeField(32003)) is R2
     assert PolyRing(("x", "y")) is R2
-    assert R2.with_order(MonomialOrder.lex()).with_order(MonomialOrder.degrevlex()) is R2
+    lex = PolyRing(["x", "y"], PrimeField(32003), MonomialOrder.lex())
+    assert lex is not R2 and lex is PolyRing(("x", "y"), R2.field, MonomialOrder.lex())
+    assert PolyRing(lex.variables, lex.field, MonomialOrder.degrevlex()) is R2
     assert PolyRing(["x", "y"], QQ) is RQ and RQ is not R2
     assert copy.deepcopy(R2) is R2 and pickle.loads(pickle.dumps(R2)) is R2
     # equal polynomials built through separately constructed rings are equal
