@@ -26,7 +26,6 @@ from .idealcalc import (
 )
 from .invariants import (
     DEFAULT_RR_JCAP,
-    DEFAULT_RR_WINDOW,
     DaoReport,
     InvariantError,
     dao_numbers,
@@ -39,9 +38,10 @@ from .polyring import ParseError, PolyRing, PolyringError, PrimeField, QQ
 SCHEMA_VERSION = 1
 TASKS = ("gb", "colon", "rr", "rednum", "dao", "verify")
 # Integer options and their least meaningful values (None: any integer); a
-# smaller value is an input error, not a failed computation.
+# smaller value is an input error, not a failed computation.  Any other key
+# but these, the typed ones and `task` is an input error too.
 INT_OPTIONS = {
-    "trials": 1, "seed": None, "rr_window": 2, "rr_j_cap": 1, "s_bound": 1, "max_iter": 0,
+    "trials": 1, "seed": None, "rr_j_cap": 1, "s_bound": 1, "max_iter": 0,
     "known_reg": 0, "degree_cap": 1, "rr_n": 1, "assert_dim": None,
 }
 TYPED_OPTIONS = {"assert_minimal": bool, "ideal": str, "colon_a": str, "colon_b": str}
@@ -114,6 +114,8 @@ def _string_list(value) -> bool:
 
 def _validate_options(options: dict):
     _require(isinstance(options, dict), "'options' must be an object")
+    unknown = options.keys() - INT_OPTIONS.keys() - TYPED_OPTIONS.keys() - {"task"}
+    _require(not unknown, f"unknown options {sorted(unknown)}")
     for key, least in INT_OPTIONS.items():
         if key in options:
             value = options[key]
@@ -286,18 +288,9 @@ def _dispatch(
     if task == "rr":
         n = options.get("rr_n")
         _require(isinstance(n, int) and n >= 1, "options.rr_n must be a positive integer")
-        record = ratliff_rush_power(
-            ring,
-            n,
-            window=options.get("rr_window", DEFAULT_RR_WINDOW),
-            j_cap=options.get("rr_j_cap", DEFAULT_RR_JCAP),
-            policy=policy,
-        )
+        record = ratliff_rush_power(ring, n, options.get("rr_j_cap", DEFAULT_RR_JCAP))
         return {
             "n": n,
-            "window": options.get("rr_window", DEFAULT_RR_WINDOW),
-            "stabilized_at": record.stabilized_at,
-            "chain_length": len(record.chain),
             "certificate_j": record.j,
             "stable_value_generators": [str(g) for g in record.stable_value.gb.basis],
             "equals_power": record.j == 0,
@@ -313,7 +306,7 @@ def _dispatch(
         }
     # dao and verify
     ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
-    dao_kwargs = _given(options, "max_iter", "rr_window", "rr_j_cap", "s_bound", "known_reg")
+    dao_kwargs = _given(options, "max_iter", "rr_j_cap", "s_bound", "known_reg")
     if task == "dao":
         return _dao_dict(dao_numbers(ideal, policy, **dao_kwargs))
     report, checks = verify_statements(
@@ -397,7 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--input", required=True, help="problem JSON file")
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
-        p.add_argument("--rr-window", type=int, dest="rr_window")
         p.add_argument("--s-bound", type=int, dest="s_bound")
         p.add_argument("--max-iter", type=int, dest="max_iter")
         p.add_argument("--known-reg", type=int, dest="known_reg")
@@ -430,7 +422,6 @@ def main(argv: list[str] | None = None) -> int:
             "task": args.command,
             "seed": args.seed,
             "trials": args.trials,
-            "rr_window": args.rr_window,
             "s_bound": args.s_bound,
             "max_iter": args.max_iter,
             "known_reg": args.known_reg,

@@ -69,7 +69,8 @@ class QuotientRing:
     by itself.  `start_request` keeps the entries whose key names neither,
     which depend on the presentation alone: the powers of m, the depth
     witness, the Ratliff-Rush records of m-powers and the regularity bound
-    of G(m).  Every Groebner run on its ideals honours its degree cap.  The
+    of G(m).  Their sampled forms are drawn from seeds of the presentation,
+    never of a request, so no request's seed outlives it.  Every Groebner run on its ideals honours its degree cap.  The
     ambient order must be degrevlex, which the intersections need: they
     homogenize with a last variable h and set h = 1 in a degrevlex basis.
     """

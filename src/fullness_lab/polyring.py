@@ -648,8 +648,8 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(src):
+    pos, end = 0, len(src.rstrip())  # trailing whitespace ends no token
+    while pos < end:
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             stripped = src[pos:].lstrip()

@@ -159,17 +159,16 @@ class ChainStats:
     closure_mismatches: list = field(default_factory=list)
 
 
-def run_rr_chain_suite(rings: dict, top_power: int, seed: int) -> ChainStats:
+def run_rr_chain_suite(rings: dict, top_power: int) -> ChainStats:
     """Ratliff-Rush closures on fixed positive-depth rings, against the
     colon chain of `oracles.rr_chain`: every chain must ascend to the
     closure, and closing one power higher then coloning by m must descend
     to the closure below."""
-    policy = GenericElementPolicy(trials=8, seed=seed)
     stats = ChainStats()
     for label, ring in rings.items():
         records = []
         for n in range(1, top_power + 1):
-            record = ratliff_rush_power(ring, n, policy=policy)
+            record = ratliff_rush_power(ring, n)
             records.append(record)
             chain = oracles.rr_chain(ring, n)
             for earlier, later in zip(chain, chain[1:]):

@@ -5,13 +5,14 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 from fullness_lab import cli
 from fullness_lab import corpus
-from fullness_lab.idealcalc import QuotientRing
+from fullness_lab.idealcalc import IdealHandle, QuotientRing
 from fullness_lab.polyring import Polynomial
 
 
@@ -86,11 +87,11 @@ def test_colon_and_gb_and_rr_tasks():
     assert "x" in gb["results"]["basis"]
     col = cli.run(dict(problem, options={"colon_a": "A", "colon_b": "m"}), {"task": "colon"})
     assert col["results"]["generators"]
-    rr = cli.run(dict(problem, options={"rr_n": 2, "rr_window": 5}), {"task": "rr"})
+    rr = cli.run(dict(problem, options={"rr_n": 2}), {"task": "rr"})
     assert rr["results"]["equals_power"] is False
     assert sorted(rr["results"]["stable_value_generators"]) == ["x*y", "x^2", "y^2", "z"]
     assert rr["results"]["certified"] is True and rr["results"]["certificate_j"] == 1
-    assert rr["results"]["window"] == 5
+    assert not {"window", "stabilized_at", "chain_length"} & rr["results"].keys()
 
 
 def test_verify_task_emits_checks():
@@ -174,13 +175,15 @@ def test_input_error_paths(tmp_path):
         ("trials", -3),
         ("s_bound", 0),
         ("s_bound", -2),
-        ("rr_window", 1),
-        ("rr_window", 0),
         ("rr_j_cap", 0),
         ("max_iter", -1),
         ("degree_cap", 0),
         ("degree_cap", -3),
         ("known_reg", -1),
+        # unknown keys, a stale one among them, are refused, not ignored
+        ("trails", 8),
+        ("characteristic", 0),
+        ("rr_window", 3),
     ]:
         wrong = tmp_path / f"wrong_{option}_{value}.json"
         wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))
@@ -201,6 +204,18 @@ def test_deep_parentheses_are_an_input_error(tmp_path):
         assert cli.main(["dao", "--input", str(path)]) == 1
         with pytest.raises(cli.InputError):
             cli.run(problem)
+
+
+def test_trailing_whitespace_in_a_relation_is_accepted(tmp_path):
+    problem = {
+        "ring": {"variables": ["x", "y"], "relations": ["x^2 "]},
+        "ideals": {"I": ["x", "y "]},
+        "task": "gb",
+        "options": {"ideal": "I"},
+    }
+    path = tmp_path / "spaces.json"
+    path.write_text(json.dumps(problem))
+    assert cli.main(["gb", "--input", str(path)]) == 0
 
 
 def test_verify_honors_max_iter():
@@ -306,6 +321,41 @@ def test_start_request_keeps_only_ring_level_entries():
     assert after and not any(_names_ideal_or_element(key) for key in after)
     assert all(before[key] is value for key, value in after.items())
     assert {key[0] for key in after} == {"m-power", "depth-witness", "rr", "reg-G-upper"}
+
+
+def _plain(value):
+    """A memo value with each ideal replaced by its reduced basis, as text,
+    so that values built by two ring tables compare equal."""
+    if isinstance(value, IdealHandle):
+        return tuple(map(str, value.gb.basis))
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return str(value)
+
+
+def _serve_in_order(seeds: list[int]) -> tuple[dict, dict]:
+    problem = corpus.load("example_4_2_L")
+    reports = {}
+    for seed in seeds:
+        report = cli.run(problem, {"task": "dao", "seed": seed})
+        report.pop("timing_ms")
+        reports[seed] = report
+    ring = cli.build_ring(problem)
+    ring.start_request()
+    return reports, {key: _plain(value) for key, value in ring._op_cache.items()}
+
+
+def test_ring_level_entries_do_not_depend_on_the_order_of_requests(monkeypatch):
+    # The entries a ring keeps from request to request, the depth witness
+    # among them, depend on the presentation alone, not on which request's
+    # seed came first.
+    monkeypatch.setattr(cli, "_RING_TABLE", OrderedDict())
+    forward, kept_forward = _serve_in_order([1, 2])
+    monkeypatch.setattr(cli, "_RING_TABLE", OrderedDict())
+    backward, kept_backward = _serve_in_order([2, 1])
+    assert ("depth-witness",) in kept_forward
+    assert kept_forward == kept_backward
+    assert forward == backward
 
 
 def test_ring_level_entries_stop_changing_over_a_long_run():

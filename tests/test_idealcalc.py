@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
 from fullness_lab import cli, corpus
-from fullness_lab.fullness import GenericElementPolicy, sample_linear_form
+from fullness_lab.fullness import DEFAULT_TRIALS, GenericElementPolicy, sample_linear_form
 from fullness_lab.groebner import buchberger, normal_form
 from fullness_lab.idealcalc import (
     IdealcalcError,
@@ -367,8 +367,8 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
     # `idealcalc` homogenizes both generator lists before it eliminates the
     # tag variable; the plain elimination of `oracles` must give the same
     # reduced bases.  Cases: the reference colons of the qq-kernels
-    # benchmark (and A : x*y), J : l for the draws of `depth_witness` under
-    # the default policy on every fast corpus ring, and seeded pairs of
+    # benchmark (and A : x*y), J : l for the draws of `depth_witness`, seeded
+    # by the presentation, on every fast corpus ring, and seeded pairs of
     # inhomogeneous ideals.
     field = PrimeField(characteristic) if characteristic else QQ
     ring = QuotientRing(PolyRing(QQ_REFERENCE["ring"]["variables"], field))
@@ -386,9 +386,8 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
         problem = corpus.load(name)
         problem["ring"]["characteristic"] = characteristic
         corpus_ring = cli.build_ring(problem)
-        policy = GenericElementPolicy()
-        draws = policy.rng("depth-probe")
-        for _ in range(max(policy.trials, 3)):
+        draws = GenericElementPolicy().rng(f"depth-probe:{corpus_ring!r}")
+        for _ in range(DEFAULT_TRIALS):
             ell = sample_linear_form(corpus_ring, draws)
             cases.append((corpus_ring.zero_ideal(), corpus_ring.ideal([ell])))
     rng = random.Random(18)

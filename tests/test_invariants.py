@@ -22,6 +22,7 @@ from fullness_lab.idealcalc import (
     ideal_contains_local_ideal,
     ideal_equal_local,
     ideal_product,
+    is_nonzerodivisor,
     times_m_power,
 )
 from fullness_lab.invariants import (
@@ -147,7 +148,7 @@ def test_reduction_number_decides_on_ideals_that_contain_a_power_of_m(monkeypatc
 
 def test_rr_stable_value_semigroup_square():
     E = ring_4_2()
-    record = ratliff_rush_power(E, 2, policy=POLICY)
+    record = ratliff_rush_power(E, 2)
     target = E.parse_ideal(["x^2", "x*y", "y^2", "z"])
     assert ideal_equal_local(record.stable_value, target)
     assert not ideal_equal_local(record.stable_value, E.m_power(2))
@@ -160,15 +161,13 @@ def test_rr_stable_value_semigroup_square():
 
 def test_rr_closed_in_regular_ring():
     for n in (1, 2, 4):
-        record = ratliff_rush_power(REG2, n, policy=POLICY)
+        record = ratliff_rush_power(REG2, n)
         assert ideal_equal_local(record.stable_value, REG2.m_power(n))
 
 
 def test_rr_window_validation():
     with pytest.raises(Exception):
-        ratliff_rush_power(REG2, 0, policy=POLICY)
-    with pytest.raises(Exception):
-        ratliff_rush_power(REG2, 1, window=1, policy=POLICY)
+        ratliff_rush_power(REG2, 0)
 
 
 def test_rr_chain_cap():
@@ -176,11 +175,11 @@ def test_rr_chain_cap():
     # decides whether it is returned, also once the ring keeps the record.
     ring = cli.build_ring(corpus.load("example_4_3"))
     with pytest.raises(ChainCapExceeded):
-        ratliff_rush_power(ring, 2, j_cap=5, policy=POLICY)
-    assert ratliff_rush_power(ring, 2, j_cap=6, policy=POLICY).j == 6
+        ratliff_rush_power(ring, 2, j_cap=5)
+    assert ratliff_rush_power(ring, 2, j_cap=6).j == 6
     with pytest.raises(ChainCapExceeded):
-        ratliff_rush_power(ring, 2, j_cap=5, policy=POLICY)
-    assert ratliff_rush_power(ring, 2, window=7, policy=POLICY).j == 6
+        ratliff_rush_power(ring, 2, j_cap=5)
+    assert ratliff_rush_power(ring, 2).j == 6
 
 
 def _fast_corpus_rings():
@@ -199,7 +198,7 @@ def test_rr_closure_equals_the_colon_chain(name, characteristic):
     problem["ring"]["characteristic"] = characteristic
     ring = cli.build_ring(problem)
     for n in range(1, reg_G_upper(ring) + 3):
-        record = ratliff_rush_power(ring, n, policy=POLICY)
+        record = ratliff_rush_power(ring, n)
         chain = oracles.rr_chain(ring, n)
         assert ideal_equal_local(record.stable_value, chain[-1]), (name, characteristic, n)
 
@@ -215,25 +214,28 @@ def test_rr_a_witness_that_is_not_superficial_is_never_certified(monkeypatch):
     assert [invariants._certified_closure(E, n, z) for n in (1, 2, 3)] == [None] * 3
     # As the depth witness, z is followed by drawn forms, which certify ...
     E.memo(("depth-witness",), lambda: z)
-    record = ratliff_rush_power(E, 2, policy=POLICY)
+    record = ratliff_rush_power(E, 2)
     assert (record.j, sorted(map(str, record.stable_value.gb.basis))) == (1, ["x*y", "x^2", "y^2", "z"])
     # ... unless every draw fails too: then no closure is returned.
     monkeypatch.setattr(invariants, "sample_linear_form", lambda ring, rng: z)
     with pytest.raises(ChainCapExceeded, match="not superficial"):
-        ratliff_rush_power(E, 3, policy=POLICY)
+        ratliff_rush_power(E, 3)
     assert ("rr", 3) not in E._op_cache
 
 
 def test_rr_draws_again_where_the_depth_witness_is_not_superficial():
-    # Over F_2 the depth witness of example_4_1_234 is x, and (m^5 : x^3) is
-    # larger than the closure of m^2; drawn forms certify every closure.
+    # Over F_2, x is regular on example_4_1_234, and (m^5 : x^3) is larger
+    # than the closure of m^2; as the depth witness, x is followed by drawn
+    # forms, which certify every closure.
     from fullness_lab import invariants
 
     spec = corpus.load("example_4_1_234")["ring"]
     amb = PolyRing(spec["variables"], PrimeField(2))
     E = QuotientRing(amb, [amb.parse(f) for f in spec["relations"]])
-    x = depth_witness(E)
-    assert str(x) == "x" and invariants._certified_closure(E, 2, x) is None
+    x = amb.parse("x")
+    E.memo(("depth-witness",), lambda: x)
+    assert is_nonzerodivisor(x, E) and depth_witness(E) is x
+    assert invariants._certified_closure(E, 2, x) is None
     for n in range(1, reg_G_upper(E) + 2):
         record = ratliff_rush_power(E, n)
         assert ideal_equal_local(record.stable_value, oracles.rr_chain(E, n)[-1]), n
@@ -243,7 +245,7 @@ def test_rr_draws_again_where_the_depth_witness_is_not_superficial():
 def test_rr_closures_of_the_stretch_case_exceed_the_window_chain():
     ring = cli.build_ring(corpus.load("example_4_3"))
     for n in (2, 3, 4):
-        closure = ratliff_rush_power(ring, n, policy=POLICY).stable_value
+        closure = ratliff_rush_power(ring, n).stable_value
         stopped = oracles.rr_chain(ring, n, window=3)[-1]
         assert ideal_contains_local_ideal(closure, stopped), n
         assert not ideal_equal_local(closure, stopped), n
@@ -255,14 +257,14 @@ def test_rr_closures_of_the_stretch_case_exceed_the_window_chain():
 # -- s index -----------------------------------------------------------------
 
 def test_s_index_values():
-    assert s_index(ring_4_1(), 6, policy=POLICY).s == 1
-    assert s_index(ring_4_2(), 6, policy=POLICY).s == 3
-    assert s_index(REG2, 4, policy=POLICY).s == 1
-    assert s_index(REG3, 4, policy=POLICY).s == 1
+    assert s_index(ring_4_1(), 6).s == 1
+    assert s_index(ring_4_2(), 6).s == 3
+    assert s_index(REG2, 4).s == 1
+    assert s_index(REG3, 4).s == 1
 
 
 def test_s_index_reports_bound():
-    res = s_index(ring_4_2(), 5, policy=POLICY)
+    res = s_index(ring_4_2(), 5)
     assert res.certified_up_to == 5
     assert len(res.records) == 5
 
@@ -271,7 +273,7 @@ def test_closure_contains_power_and_agrees_beyond_s():
     # The stable value always contains the power it closes; from s onward
     # the two coincide (within the scanned bound).
     E = ring_4_2()
-    res = s_index(E, 5, policy=POLICY)
+    res = s_index(E, 5)
     for record in res.records:
         power = E.m_power(record.n)
         assert ideal_contains_local_ideal(record.stable_value, power)
@@ -429,7 +431,7 @@ def test_depth_probe_failure():
     amb = PolyRing(["x", "y"], P32)
     Q = QuotientRing(amb, [amb.parse("x^2"), amb.parse("x*y")])
     with pytest.raises(DepthProbeError):
-        depth_witness(Q, POLICY)
+        depth_witness(Q)
     with pytest.raises(DepthProbeError):
         dao_numbers(Q.parse_ideal(["x", "y"]), POLICY)
 

@@ -62,12 +62,17 @@ def test_parse_relation_lead_degrevlex():
         ("(x + y", "position 6"),
         ("x ^ y", "position 4"),
         ("2 @ x", "position 2"),
+        ("x $", "position 2"),
     ],
 )
 def test_parse_syntax_errors_carry_position(src, pos_fragment):
     with pytest.raises(ParseError) as e:
         parse_polynomial(src, R4)
     assert pos_fragment in str(e.value)
+
+
+def test_parse_accepts_trailing_whitespace():
+    assert str(PolyRing(["x", "y"]).parse("x + y  ")) == "x + y"
 
 
 def test_parse_unknown_variable():
