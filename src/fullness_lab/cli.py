@@ -225,6 +225,7 @@ def run(problem: dict, overrides: dict | None = None) -> dict:
     _validate_options(options)
     task = overrides.get("task") or problem.get("task")
     _require(task in TASKS, "no task given (in the problem file or on the command line)")
+    _require(options.get("task", task) == task, f"options.task must be the task that runs, {task!r}")
 
     canonical = json.dumps(problem, sort_keys=True, separators=(",", ":"))
     input_hash = hashlib.sha256(canonical.encode()).hexdigest()

@@ -342,17 +342,22 @@ def _update_pairs(
 def buchberger(
     generators: Sequence[Polynomial], degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `generators`, in the
-    order of their ring.  The working basis is kept `_normalized` from the
-    seeds on, so over Q every reduction in the loop is integral and the
-    basis holds integers until `reduce_basis` makes the result monic."""
+    """Reduced Groebner basis of the ideal of `generators` in their ring's order."""
     gens = list(generators)
     if not gens:
         raise PolyringError("buchberger: empty generator list")
+    return reduce_basis(gens[0].ring, _complete(gens, degree_cap))
+
+
+def _complete(gens: list[Polynomial], degree_cap: int, aside: list | None = None) -> list:
+    """A Groebner basis of the ideal of the nonempty `gens`, not reduced,
+    kept `_normalized`, so over Q every reduction in the loop is integral.
+    With a list `aside`, the seeds free of the ring's first variable w, a
+    tag that the block order eliminates, must be a Groebner basis, and any
+    other remainder free of w goes to `aside` instead of the basis."""
     ring = gens[0].ring
-    for g in gens:
-        if g.ring is not ring:
-            raise RingMismatchError("buchberger: generators from different rings")
+    if any(g.ring is not ring for g in gens):
+        raise RingMismatchError("buchberger: generators from different rings")
 
     # Seed the working basis by sequential reduction; unlike lead-term
     # minimalization this never changes the generated ideal.  Each seed is
@@ -365,11 +370,12 @@ def buchberger(
             r = normal_form(h, reducers)
             if not r:
                 continue
+            if aside is not None and g.lead_monomial[0] and not r.lead_monomial[0]:
+                aside.append(r)
+                continue
             h = _normalized(r)
         basis.append(h)
         reducers.add(h)
-    if not basis:
-        return GroebnerBasis(ring, ())
 
     # Reduction runs against the active elements only; an element whose
     # lead a later lead divides drops out of both the pairs and the reducers.
@@ -392,6 +398,9 @@ def buchberger(
             continue
         if r.total_degree > degree_cap:
             raise DegreeCapExceeded(r.total_degree, degree_cap)
+        if aside is not None and not r.lead_monomial[0]:
+            aside.append(r)
+            continue
         h = _normalized(r)
         basis.append(h)
         leads.append(h.lead_monomial)
@@ -400,7 +409,7 @@ def buchberger(
         reducers.add(h)
         active = _update_pairs(pairs, leads, packed_leads, active, len(basis) - 1, reducers)
 
-    return reduce_basis(ring, [basis[k] for k in active])
+    return [basis[k] for k in active]
 
 
 def eliminate(

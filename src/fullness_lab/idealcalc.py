@@ -15,26 +15,26 @@ is N plus the lifts of the kernel of b· on P/N (one Buchberger run, no
 elimination), and membership in N is a normal form.  Over Q the maps
 are integral, with one common denominator per view, and ranks and kernels
 come from one echelon form, fraction-free over Q (`_echelon`), so kernel
-vectors are integral.  Every other colon is the tag-variable elimination
-of `_colon_single`, and so is every intersection.  That elimination
-homogenizes both degrevlex bases by a fresh last variable h first
-(`_intersect_lifts`), which keeps its coefficients small; this is why the
-ambient order must be degrevlex.
+vectors are integral.  Every other colon comes from syzygies
+(`_syzygy_colon`): one completion run per divisor in (w | x…), with no tag
+elimination and no homogenizing variable.  Every intersection is a
+tag-variable elimination, which homogenizes both degrevlex bases by a fresh
+last variable h first (`_intersect_lifts`) to keep its coefficients small;
+this is why the ambient order must be degrevlex.
 """
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
+    _complete,
     _integral,
     buchberger,
     eliminate,
     normal_form,
-    reduce_basis,
 )
 from .polyring import (
     Monomial,
@@ -428,8 +428,7 @@ def ideal_intersection(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     elimination of `_intersect_lifts` on their reduced bases."""
     _check_same_ring(A, B)
     ring = A.ring
-    gens_a = list(A.gb.basis)
-    gens_b = list(B.gb.basis)
+    gens_a, gens_b = list(A.gb.basis), list(B.gb.basis)
     if not gens_a or not gens_b:
         return ring.zero_ideal()
 
@@ -450,10 +449,10 @@ def _intersect_lifts(
 ) -> list[Polynomial]:
     """The reduced degrevlex basis of A ∩ B, A = (gens_a) and B = (gens_b).
 
-    Each list must be a degrevlex Groebner basis of its ideal, or a single
-    polynomial.  Then its homogenization by a fresh last variable h
-    generates the homogenization of its ideal, and A^h ∩ B^h = (A ∩ B)^h,
-    which is ( w·A^h + (1-w)·B^h ) ∩ P[h] for a fresh tag variable w.  The
+    Each list must be a degrevlex Groebner basis of its ideal.  Then its
+    homogenization by a fresh last variable h generates the homogenization
+    of its ideal, and A^h ∩ B^h = (A ∩ B)^h, which is
+    ( w·A^h + (1-w)·B^h ) ∩ P[h] for a fresh tag variable w.  The
     elimination runs on input homogeneous in (x, h), so its survivors are
     the reduced basis of (A ∩ B)^h.  No lead involves h, because that ideal
     is saturated by h, so at h = 1 they are the reduced basis of A ∩ B
@@ -474,45 +473,39 @@ def _intersect_lifts(
     return [ring.from_dict({m[1:-1]: c for m, c in g.terms}) for g in survivors]
 
 
-def _colon_single(
-    numerator_basis: Sequence[Polynomial], b: Polynomial, degree_cap: int
+def _syzygy_colon(
+    numerator_basis: Sequence[Polynomial], divisors: Sequence[Polynomial], degree_cap: int
 ) -> GroebnerBasis:
-    """Reduced basis of (N : b) in P for a single nonzero b and a degrevlex
-    Groebner basis of N, via (N ∩ (b)) · b^{-1}.  The quotients of a
-    Groebner basis of N ∩ (b) by b form a Groebner basis of N : b, since
-    lead monomials are multiplicative."""
-    inter = _intersect_lifts(b.ring, numerator_basis, [b], degree_cap) if numerator_basis else []
-    return reduce_basis(b.ring, [_exact_divide(g, b) for g in inter])
+    """Reduced basis of N : (b_1, …, b_k) in P, for nonzero b_i and N's
+    reduced degrevlex basis, from syzygies (Cox, Little & O'Shea, *Using
+    Algebraic Geometry*, ch. 5).  With C the colon so far, from (1), each
+    element w·f + c of a run in (w | x…) on N and w·c·b + c, c in C's basis,
+    keeps c ∈ C and f ≡ c·b mod N.  So its remainders free of w lie in
+    C ∩ (N : b), and with N generate it; set aside, w never multiplies them,
+    which would give N : b^∞.  Gebauer-Moeller pruning stays sound: a
+    coprime pair's syzygy is Koszul, which projects into N."""
+    ring = divisors[0].ring
+    if not numerator_basis:
+        return GroebnerBasis(ring, ())  # P is a domain
+    ext = ring.extend_front([_fresh_name("w", ring.variables)])
 
+    def tagged(f, e):  # the terms of w^e·f; the block order puts w^1 first
+        return tuple([(Monomial((e, *m)), c) for m, c in f.terms])
 
-def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b when b divides f exactly (f is in (b)): division in one
-    pass over a dict of the rest, its largest term popped from a heap."""
-    field, key = f.ring.field, f.ring.order.desc_key
-    (lb, cb), rest, quotient = b.terms[0], dict(f.terms), []
-    heap = [(key(m), m) for m in rest]
-    heapify(heap)
-    while heap:
-        m = heappop(heap)[1]
-        c = rest.pop(m)
-        if not c:  # cancelled
-            continue
-        if not lb.divides(m):
-            raise IdealcalcError("exact division failed; intersection was not a multiple")
-        q, c = m.div(lb), field.div(c, cb)
-        quotient.append((q, c))
-        for t, k in b.terms[1:]:
-            t = t.mul(q)
-            if t not in rest:  # every term of the rest has one heap entry
-                heappush(heap, (key(t), t))
-            rest[t] = field.sub(rest.get(t, 0), field.mul(c, k))
-    return Polynomial(f.ring, tuple(quotient))
+    numerator = [Polynomial(ext, tagged(g, 0)) for g in numerator_basis]
+    colon = GroebnerBasis(ring, (ring.one(),))
+    for b in divisors:
+        aside: list[Polynomial] = []
+        _complete(numerator + [Polynomial(ext, tagged(c * b, 1) + tagged(c, 0)) for c in colon],
+                  degree_cap, aside)
+        colon = buchberger([*numerator_basis, *map(ring.convert, aside)], degree_cap)
+    return colon
 
 
 def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
     """(A :_R B) = ∩_{b in gens(B)} ((A+J) :_P b), mapped back to R.  Each
-    A : b is a kernel on P/A when A contains a power of m, and the
-    tag-variable colon otherwise."""
+    A : b is a kernel on P/A when A contains a power of m, and their
+    intersection is taken; otherwise the whole colon is one syzygy colon."""
     _check_same_ring(A, B)
     ring = A.ring
     gens_b = [g for g in B.gens if ring.reduce(g)]
@@ -521,14 +514,11 @@ def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
 
     def build():
         view = quotient_view(A)
-        result: IdealHandle | None = None
-        for b in gens_b:
-            if view is None:
-                cb = IdealHandle._with_basis(ring, _colon_single(A.gb.basis, b, ring.degree_cap))
-            else:
-                cb = view.colon(b)
-            result = cb if result is None else ideal_intersection(result, cb)
-        assert result is not None
+        if view is None:
+            return IdealHandle._with_basis(ring, _syzygy_colon(A.gb.basis, gens_b, ring.degree_cap))
+        result = view.colon(gens_b[0])
+        for b in gens_b[1:]:
+            result = ideal_intersection(result, view.colon(b))
         return result
 
     return ring.memo(("colon", A.gb.basis, B.gb.basis), build)
@@ -583,5 +573,5 @@ def is_nonzerodivisor(f: Polynomial, ring: QuotientRing) -> bool:
         raise IdealcalcError("zero element: regularity is undefined for 0")
     if not ring.relations:
         return True
-    annihilator = IdealHandle._with_basis(ring, _colon_single(list(ring.gbJ.basis), f, ring.degree_cap))
+    annihilator = IdealHandle._with_basis(ring, _syzygy_colon(ring.gbJ.basis, [f], ring.degree_cap))
     return ideal_equal_local(annihilator, ring.zero_ideal())

@@ -191,6 +191,12 @@ def test_input_error_paths(tmp_path):
         with pytest.raises(cli.InputError):
             cli.run(base, {"task": "dao", option: value})
 
+    # options.task, if given, must be the task that runs (a command line's
+    # task replaces it, as it replaces the top-level one)
+    for value in ("verify", "nonsense"):
+        with pytest.raises(cli.InputError, match="options.task"):
+            cli.run(dict(base, options={**base["options"], "task": value}))
+
 
 def test_deep_parentheses_are_an_input_error(tmp_path):
     deep = "(" * 250 + "x" + ")" * 250
@@ -241,16 +247,20 @@ def test_mathematical_error_exit_code(tmp_path):
 
 
 def test_degree_cap_option_maps_to_math_error(tmp_path):
+    # The cusp's basis fits under cap 3; its colon by x·y needs degree 4.
     problem = {
-        "ring": {"characteristic": 32003, "variables": ["x", "y", "t"], "relations": []},
-        "ideals": {"A": ["x - t^2", "y - t^3"], "B": ["x"]},
+        "ring": {"characteristic": 32003, "variables": ["x", "y"], "relations": []},
+        "ideals": {"A": ["y^2 - x^3"], "B": ["x*y"]},
         "task": "colon",
         "options": {"colon_a": "A", "colon_b": "B"},
     }
     uncapped = tmp_path / "uncapped.json"
     uncapped.write_text(json.dumps(problem))
     capped = tmp_path / "capped.json"
-    capped.write_text(json.dumps(dict(problem, options={**problem["options"], "degree_cap": 2})))
+    capped.write_text(json.dumps(dict(problem, options={**problem["options"], "degree_cap": 3})))
+    numerator = tmp_path / "numerator.json"
+    numerator.write_text(json.dumps(dict(problem, task="gb", options={"ideal": "A", "degree_cap": 3})))
+    assert cli.main(["gb", "--input", str(numerator)]) == 0
     # the cap applies to its own request only, whatever ran before or after
     assert cli.main(["colon", "--input", str(uncapped)]) == 0
     assert cli.main(["colon", "--input", str(capped)]) == 2

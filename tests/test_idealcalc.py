@@ -365,11 +365,13 @@ def _random_inhomogeneous(rng: random.Random, amb: PolyRing):
 @pytest.mark.parametrize("characteristic", [32003, 0])
 def test_intersections_and_colons_match_the_plain_elimination(characteristic):
     # `idealcalc` homogenizes both generator lists before it eliminates the
-    # tag variable; the plain elimination of `oracles` must give the same
+    # tag variable, and takes colons without a view from syzygies; the plain
+    # tag-variable intersections and colons of `oracles` must give the same
     # reduced bases.  Cases: the reference colons of the qq-kernels
-    # benchmark (and A : x*y), J : l for the draws of `depth_witness`, seeded
-    # by the presentation, on every fast corpus ring, and seeded pairs of
-    # inhomogeneous ideals.
+    # benchmark (and A : x*y, by (x, y, z) and by (x + y, z^2)), J : l for
+    # the draws of `depth_witness`, seeded by the presentation, on every fast
+    # corpus ring, numerators of example_4_2's ring by one to three
+    # elements, and seeded pairs of inhomogeneous ideals.
     field = PrimeField(characteristic) if characteristic else QQ
     ring = QuotientRing(PolyRing(QQ_REFERENCE["ring"]["variables"], field))
     cases = []
@@ -381,7 +383,7 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
             if not characteristic:
                 want = {ring.ambient.parse(g) for g in ref["basis"]}
                 assert set(ideal_colon(A, B).gb.basis) == want, ref["divisor"]
-        cases.append((A, ring.parse_ideal(["x*y"])))
+        cases += [(A, ring.parse_ideal(B)) for B in (["x*y"], ["x", "y", "z"], ["x + y", "z^2"])]
     for name in FAST_CORPUS:
         problem = corpus.load(name)
         problem["ring"]["characteristic"] = characteristic
@@ -390,6 +392,12 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
         for _ in range(DEFAULT_TRIALS):
             ell = sample_linear_form(corpus_ring, draws)
             cases.append((corpus_ring.zero_ideal(), corpus_ring.ideal([ell])))
+        if name == "example_4_2_I":
+            cases += [
+                (corpus_ring.parse_ideal(A), corpus_ring.parse_ideal(B))
+                for A in ([], ["y - z"], ["z - x^2*y"])
+                for B in (["x"], ["y", "z"], ["x", "y", "z"], ["x + y", "z^2"])
+            ]
     rng = random.Random(18)
     for amb in (PolyRing(["x", "y"], field), PolyRing(["x", "y", "z"], field)):
         small = QuotientRing(amb)
@@ -401,6 +409,26 @@ def test_intersections_and_colons_match_the_plain_elimination(characteristic):
         got = ideal_intersection(A, B).gb.basis
         assert got == oracles.tag_intersection(amb, A.gb.basis, B.gb.basis).basis, (A, B)
         assert ideal_colon(A, B).gb.basis == oracles.groebner_colon(A, B).gb.basis, (A, B)
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_syzygy_colons_set_their_remainders_aside(characteristic):
+    plain = QuotientRing(PolyRing(["x", "y", "z"], PrimeField(characteristic) if characteristic else QQ))
+
+    def colon(A, B):
+        A, B = plain.parse_ideal(A), plain.parse_ideal(B)
+        assert quotient_view(A) is None
+        got = ideal_colon(A, B).gb.basis
+        assert got == oracles.groebner_colon(A, B).gb.basis
+        return got
+
+    assert colon(["x^2", "y*z"], ["x^2"]) == (plain.ambient.one(),)  # b in N
+    assert colon([], ["x"]) == ()  # 0 : b = 0 in a domain
+    # Set-aside remainders that joined the basis would give the saturation
+    # (1); N and they must be completed together.
+    assert colon(["x^2"], ["x"]) == plain.parse_ideal(["x"]).gb.basis
+    assert colon(["x^2", "y"], ["x"]) == plain.parse_ideal(["x", "y"]).gb.basis
+    assert colon(["y^3 - y", "x*y - y"], ["y^2"]) == plain.parse_ideal(["x - 1", "y^2 - 1"]).gb.basis
 
 
 @pytest.mark.parametrize("characteristic", [32003, 0])
