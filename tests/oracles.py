@@ -15,13 +15,13 @@ of `groebner.normal_form`, for the integral maps of `idealcalc.QuotientView`
 and for the fraction-free echelon form behind `idealcalc._rank` and
 `idealcalc._kernel`.
 The plain tag-variable elimination, with no homogenization, is the
-reference for the intersections and the colons of `idealcalc`, which
-homogenize before they eliminate.  The Groebner colon, one such colon per
-generator and the intersection of the results, is the reference for the
-colons of `idealcalc.ideal_colon`, which are kernels on P/N when N contains
-a power of m; and the ascending Ratliff-Rush colon chain m^(n+j) : m^j,
-built from Groebner colons, is the reference for the closures of
-`invariants.ratliff_rush_power`.
+reference for the intersections of `idealcalc`, which homogenize before
+they eliminate.  The Groebner colon, one such colon per generator and the
+intersection of the results, is the reference for the colons of
+`idealcalc.ideal_colon`, which are kernels on P/N when N contains a power
+of m and come from syzygies otherwise; and the ascending Ratliff-Rush
+colon chain m^(n+j) : m^j, built from Groebner colons, is the reference
+for the closures of `invariants.ratliff_rush_power`.
 """
 from __future__ import annotations
 
