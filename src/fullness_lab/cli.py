@@ -2,9 +2,9 @@
 
 Problems are JSON files describing a ring presentation, named ideals, a
 task, and options; reports are JSON (default) or a plain-text table.  Exit
-codes: 0 success, 1 input error, 2 mathematical error (not a reduction,
-no Ratliff-Rush certificate or one beyond rr_j_cap, degree cap, failed
-depth probe).
+codes: 0 success, 1 input error (a malformed problem file or command
+line), 2 mathematical error (not a reduction, no Ratliff-Rush certificate,
+degree cap, failed depth probe).
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .idealcalc import (
     ideal_colon,
 )
 from .invariants import (
-    DEFAULT_RR_JCAP,
     DaoReport,
     InvariantError,
     dao_numbers,
@@ -41,8 +40,7 @@ TASKS = ("gb", "colon", "rr", "rednum", "dao", "verify")
 # smaller value is an input error, not a failed computation.  Any other key
 # but these, the typed ones and `task` is an input error too.
 INT_OPTIONS = {
-    "trials": 1, "seed": None, "rr_j_cap": 1, "s_bound": 1, "max_iter": 0,
-    "known_reg": 0, "degree_cap": 1, "rr_n": 1, "assert_dim": None,
+    "trials": 1, "seed": None, "known_reg": 0, "degree_cap": 1, "rr_n": 1, "assert_dim": None,
 }
 TYPED_OPTIONS = {"assert_minimal": bool, "ideal": str, "colon_a": str, "colon_b": str}
 DEFAULT_TIME_BUDGET = 1800.0
@@ -289,7 +287,7 @@ def _dispatch(
     if task == "rr":
         n = options.get("rr_n")
         _require(isinstance(n, int) and n >= 1, "options.rr_n must be a positive integer")
-        record = ratliff_rush_power(ring, n, options.get("rr_j_cap", DEFAULT_RR_JCAP))
+        record = ratliff_rush_power(ring, n)
         return {
             "n": n,
             "certificate_j": record.j,
@@ -299,7 +297,7 @@ def _dispatch(
         }
     if task == "rednum":
         ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
-        cert = reduction_number(ideal, **_given(options, "max_iter"))
+        cert = reduction_number(ideal)
         return {
             "ideal": options.get("ideal", "I"),
             "r": cert.r,
@@ -307,11 +305,10 @@ def _dispatch(
         }
     # dao and verify
     ideal = _resolve_ideal(options.get("ideal", "I"), ring, handles, problem)
-    dao_kwargs = _given(options, "max_iter", "rr_j_cap", "s_bound", "known_reg")
     if task == "dao":
-        return _dao_dict(dao_numbers(ideal, policy, **dao_kwargs))
+        return _dao_dict(dao_numbers(ideal, policy, **_given(options, "known_reg")))
     report, checks = verify_statements(
-        ring, ideal, policy, **_given(options, "assert_dim", "assert_minimal"), **dao_kwargs
+        ring, ideal, policy, **_given(options, "assert_dim", "assert_minimal", "known_reg")
     )
     results = _dao_dict(report)
     results["checks"] = [
@@ -377,7 +374,11 @@ def main(argv: list[str] | None = None) -> int:
     import argparse  # here, not at the top: `run` never needs them
     import signal
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is an input error (exit 1)
+            raise InputError(message)
+
+    parser = Parser(
         prog="fullness-lab",
         description="Asymptotic fullness invariants of ideals in local rings",
     )
@@ -391,8 +392,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--input", required=True, help="problem JSON file")
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
-        p.add_argument("--s-bound", type=int, dest="s_bound")
-        p.add_argument("--max-iter", type=int, dest="max_iter")
         p.add_argument("--known-reg", type=int, dest="known_reg")
         p.add_argument("--slow", action="store_true", help="allow slow-marked problems")
         p.add_argument(
@@ -405,26 +404,22 @@ def main(argv: list[str] | None = None) -> int:
         group.add_argument("--json", action="store_true", dest="as_json", default=True)
         group.add_argument("--table", action="store_false", dest="as_json")
 
-    args = parser.parse_args(argv)
-
-    if args.command == "corpus":
-        listing = corpus_list()
-        if getattr(args, "as_json", False):
-            print(json.dumps(listing, sort_keys=True, indent=2))
-        else:
-            for entry in listing:
-                slow = "  [slow]" if entry["slow"] else ""
-                print(f"{entry['name']:24s} task={entry['task']:7s} {entry['path']}{slow}")
-        return 0
-
     try:
+        args = parser.parse_args(argv)
+        if args.command == "corpus":
+            listing = corpus_list()
+            if getattr(args, "as_json", False):
+                print(json.dumps(listing, sort_keys=True, indent=2))
+            else:
+                for entry in listing:
+                    slow = "  [slow]" if entry["slow"] else ""
+                    print(f"{entry['name']:24s} task={entry['task']:7s} {entry['path']}{slow}")
+            return 0
         problem = load_problem(args.input)
         overrides = {
             "task": args.command,
             "seed": args.seed,
             "trials": args.trials,
-            "s_bound": args.s_bound,
-            "max_iter": args.max_iter,
             "known_reg": args.known_reg,
         }
         if problem.get("slow") and not args.slow:
@@ -457,9 +452,6 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, not args.as_json)
         return 0
     except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 1
-    except ParseError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
     except (InvariantError, DegreeCapExceeded, IdealcalcError) as e:

@@ -11,15 +11,17 @@ closed.  This equality is what lets a finite scan certify quantities that
 are defined by "for all n >= t": the n2 scan only needs the window
 [0, alpha] because m-fullness of I m^n forces fullness of I m^{n+1}.
 
-The s-scan stops at a certified rho >= reg G(m): s - 1 <= n1 <= reg R(m) =
-reg G(m) (Trung, Trans. AMS 1998), so every power that is not closed is at
-most rho.  The same bound makes each Ratliff-Rush closure exact: m^(rho+1)
-is closed, so the closure of m^n lies in m^(rho+1) : x^(rho+1-n) for any x
-in m, which is one kernel on standard monomials, and a normal-form check
-that it times m^j lies in m^(n+j) proves the reverse inclusion when x is
-superficial (Rossi and Swanson, Contemp. Math. 331, 2003).  The exact downstream cross-check
-(weak m-fullness must fail at alpha - 1) revalidates alpha, and reports
-carry explicit certification flags.
+r is read off G(m) = P/J*: it is the top degree of G(m)/L G(m), L the
+linear parts of I's generators (Northcott and Rees 1954).  The s-scan
+stops at a certified rho >= reg G(m): s - 1 <= n1 <= reg R(m) = reg G(m)
+(Trung, Trans. AMS 1998), so every power that is not closed is at most
+rho.  The same bound makes each Ratliff-Rush closure exact: m^(rho+1) is
+closed, so the closure of m^n lies in m^(rho+1) : x^(rho+1-n) for any x in
+m, which is one kernel on standard monomials, and a normal-form check that
+it times m^j lies in m^(n+j) proves the reverse inclusion when x is
+superficial (Rossi and Swanson, Contemp. Math. 331, 2003).  The exact
+downstream cross-check (weak m-fullness must fail at alpha - 1)
+revalidates alpha, and reports carry explicit certification flags.
 """
 from __future__ import annotations
 
@@ -51,9 +53,6 @@ from .idealcalc import (
     quotient_view,
 )
 from .polyring import Monomial, Polynomial, PolyringError, monomials_of_degree
-
-DEFAULT_RR_JCAP = 25
-DEFAULT_MAX_ITER = 50
 
 
 class InvariantError(PolyringError):
@@ -95,16 +94,20 @@ def depth_witness(ring: QuotientRing) -> Polynomial:
 def tangent_cone(ring: QuotientRing) -> GroebnerBasis:
     """Reduced basis of J*, the ideal of the lowest-degree forms of J, so
     that G(m) = P/J*: ((f(t x) : f in J) : t^inf) at t = 0, the saturation
-    one elimination of w from (f(t x), 1 - t w)."""
+    one elimination of w from (f(t x), 1 - t w).  Kept by the ring."""
     amb = ring.ambient
-    if not ring.relations:
-        return GroebnerBasis(amb, ())
-    w, t = [v for v in (f"h{i}" for i in range(amb.nvars + 2)) if v not in amb.variables][:2]
-    ext = amb.extend_front([w, t])
-    gens = [ext.from_dict({Monomial((0, sum(m), *m)): c for m, c in f.terms}) for f in ring.relations]
-    saturated = eliminate(gens + [ext.one() - ext.gen(t) * ext.gen(w)], [w], ring.degree_cap)
-    at_zero = [amb.from_dict({Monomial(m[2:]): c for m, c in g.terms if not m[1]}) for g in saturated]
-    return buchberger(at_zero, degree_cap=ring.degree_cap)
+
+    def build() -> GroebnerBasis:
+        if not ring.relations:
+            return GroebnerBasis(amb, ())
+        w, t = [v for v in (f"h{i}" for i in range(amb.nvars + 2)) if v not in amb.variables][:2]
+        ext = amb.extend_front([w, t])
+        gens = [ext.from_dict({Monomial((0, sum(m), *m)): c for m, c in f.terms}) for f in ring.relations]
+        saturated = eliminate(gens + [ext.one() - ext.gen(t) * ext.gen(w)], [w], ring.degree_cap)
+        at_zero = [amb.from_dict({Monomial(m[2:]): c for m, c in g.terms if not m[1]}) for g in saturated]
+        return buchberger(at_zero, degree_cap=ring.degree_cap)
+
+    return ring.memo(("tangent-cone",), build)
 
 
 def regularity_bound(cone: GroebnerBasis, forms: Iterator[Polynomial], degree_cap: int) -> int:
@@ -197,8 +200,8 @@ def _ladder(I: IdealHandle, n: int, c: int) -> IdealHandle:
     """The rung I m^n + m^(n+c) of I's truncated ladder: rung 0 is I + m^c
     and rung n is rung n-1 times m, the product m-fullness takes of it.
     Rungs contain a power of m, so their bases stay small.  The ring's memo
-    keeps them for the request: `reduction_number` (c = 2), the table
-    (c = r + 1) and `verify` share them."""
+    keeps them for the request: the table (c = r + 1) and `verify` share
+    them."""
     ring = I.ring
 
     def build() -> IdealHandle:
@@ -209,31 +212,34 @@ def _ladder(I: IdealHandle, n: int, c: int) -> IdealHandle:
     return ring.memo(("ladder", I.gb.basis, n, c), build)
 
 
-def reduction_number(I: IdealHandle, max_iter: int = DEFAULT_MAX_ITER) -> ReductionCertificate:
+def reduction_number(I: IdealHandle) -> ReductionCertificate:
     """Least r with I m^r = m^{r+1} locally.
 
-    Since I lies in m, the equality at k says m^(k+1) lies in I m^k, which
-    `_contains_m_power` decides on the rung I m^k + m^(k+2).  It then holds
-    at every larger power (multiply by m), so the certificate is exact;
-    stability at r+1 is verified explicitly as a sanity check.
+    Let L be the linear parts of I's generators.  In G(m) = P/J*, the image
+    of I m^k + m^(k+2) in G_(k+1) is L G_k, so by Nakayama the equality at
+    k says that P/(J* + L) is zero in degree k + 1.  That quotient is
+    standard graded: I is a reduction iff it has finite length, that is,
+    iff the leads of one Groebner basis of J* + L hold a pure power of
+    every variable, and then r is the top degree of its standard monomials
+    (Northcott and Rees 1954).  `_table_rows` checks r again on its rungs.
     """
-    ring = I.ring
+    ring, amb = I.ring, I.ring.ambient
     for g in I.gens:
-        if ring.reduce(g).constant_term != ring.ambient.field.zero:
+        if ring.reduce(g).constant_term != amb.field.zero:
             raise NotAReductionError("ideal is not contained in the maximal ideal")
     if not any(ring.reduce(g) for g in I.gens):
         raise NotAReductionError("the zero ideal is not a reduction of m")
-    for k in range(max_iter + 1):
-        if _contains_m_power(_ladder(I, k, 2), k + 1):
-            if not _contains_m_power(_ladder(I, k + 1, 2), k + 2):
-                raise InvariantError(
-                    "reduction equality did not propagate to the next power; "
-                    "this indicates an engine bug"
-                )
-            return ReductionCertificate(I, k, checked_up_to=k + 1)
-    raise NotAReductionError(
-        f"not detected as reduction within max_iter = {max_iter}"
-    )
+    linear = [amb.from_dict({u: c for u, c in g.terms if sum(u) == 1}) for g in I.gens]
+    gens = [*tangent_cone(ring).basis, *filter(None, linear)]
+    leads = [g.lead_monomial for g in buchberger(gens, ring.degree_cap).basis] if gens else []
+    if not all(any(u[i] == sum(u) > 0 for u in leads) for i in range(amb.nvars)):
+        raise NotAReductionError(
+            "not a reduction of m: G(m)/L G(m) has infinite length, L the linear parts of the generators"
+        )
+    r = 0
+    while any(not any(v.divides(u) for v in leads) for u in monomials_of_degree(amb.nvars, r + 1)):
+        r += 1
+    return ReductionCertificate(I, r, checked_up_to=r + 1)
 
 
 class RRChainRecord(NamedTuple):
@@ -288,15 +294,14 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
     return None
 
 
-def ratliff_rush_power(ring: QuotientRing, n: int, j_cap: int = DEFAULT_RR_JCAP) -> RRChainRecord:
+def ratliff_rush_power(ring: QuotientRing, n: int) -> RRChainRecord:
     """The Ratliff-Rush closure of m^n, exact and certified.
 
     Powers above rho = `reg_G_upper` are closed; the others take one kernel
     on standard monomials (`_certified_closure`), with the depth witness as
     x and then up to DEFAULT_TRIALS forms drawn from a seed of the
     presentation, until one is certified; if none is, ChainCapExceeded is
-    raised.  So is a certificate that needs j > j_cap.  Records depend on
-    the ring alone and are kept by it.
+    raised.  Records depend on the ring alone and are kept by it.
     """
     if n < 1:
         raise InvariantError("ratliff_rush_power needs a positive power")
@@ -313,12 +318,7 @@ def ratliff_rush_power(ring: QuotientRing, n: int, j_cap: int = DEFAULT_RR_JCAP)
             f"{DEFAULT_TRIALS} drawn forms are not superficial"
         )
 
-    record = ring.memo(("rr", n), build)
-    if record.j > j_cap:
-        raise ChainCapExceeded(
-            f"the closure of m^{n} is certified at j = {record.j}, above rr_j_cap = {j_cap}"
-        )
-    return record
+    return ring.memo(("rr", n), build)
 
 
 class SIndexResult(NamedTuple):
@@ -329,7 +329,7 @@ class SIndexResult(NamedTuple):
     records: tuple[RRChainRecord, ...]
 
 
-def s_index(ring: QuotientRing, bound: int, j_cap: int = DEFAULT_RR_JCAP) -> SIndexResult:
+def s_index(ring: QuotientRing, bound: int) -> SIndexResult:
     """Scan i = 1..bound; s = 1 + the largest i whose power is not closed
     (or 1 if all are closed).  Values beyond the bound are unverified."""
     if bound < 1:
@@ -337,7 +337,7 @@ def s_index(ring: QuotientRing, bound: int, j_cap: int = DEFAULT_RR_JCAP) -> SIn
     records = []
     s = 1
     for i in range(1, bound + 1):
-        record = ratliff_rush_power(ring, i, j_cap)
+        record = ratliff_rush_power(ring, i)
         records.append(record)
         if record.j:
             s = i + 1
@@ -385,13 +385,17 @@ def _table_rows(
     builds it.
 
     I m^n is read off the ladder as I m^n + m^(n+r+1), the same local ideal:
-    m^(n+r+1) = m^n I m^r lies in I m^n.  That rests on I m^r = m^(r+1), so
-    the certificate's statement is asked again first, on the rung of
-    `reduction_number` that already holds it; a wrong r raises.
+    m^(n+r+1) = m^n I m^r lies in I m^n.  That rests on r, so r is checked
+    again first, by Nakayama on the table's own rungs: m^(r+1) must lie in
+    rung r, and for r >= 1 m^r must not lie in rung r - 1.  At r = 0 rung 0
+    is I + m, which holds m whatever I is, so I + m^2 is asked instead.  A
+    wrong r raises.
     """
-    if not _contains_m_power(_ladder(I, r, 2), r + 1):
+    if not _contains_m_power(_ladder(I, r, max(r + 1, 2)), r + 1) or (
+        r and _contains_m_power(_ladder(I, r - 1, r + 1), r)
+    ):
         raise InvariantError(
-            f"m^{r + 1} is not inside I m^{r} locally although r = {r}; "
+            f"r = {r} is not the least k with I m^k = m^(k+1) locally; "
             "this indicates an engine bug"
         )
     return [
@@ -409,27 +413,23 @@ def dao_numbers(
     I: IdealHandle,
     policy: GenericElementPolicy | None = None,
     *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    rr_j_cap: int = DEFAULT_RR_JCAP,
-    s_bound: int | None = None,
     known_reg: int | None = None,
 ) -> DaoReport:
     """The indices n1, n2, n3 for a verified reduction I of m.
 
     n1 = n3 = alpha = max(r, s-1) exactly; n2 is found by scanning fullness
     of I m^n over n in [0, alpha], which suffices because beyond alpha the
-    m-fullness of the previous power forces fullness.  Without an
-    `s_bound`, the s-scan covers the powers 1..max(rho, 1), rho the ring's
-    `reg_G_upper`, and its closures are exact, so s is.  The exact weak-m-full
-    failure at alpha-1 revalidates alpha against a given `s_bound`.
+    m-fullness of the previous power forces fullness.  The s-scan covers
+    the powers 1..max(rho, 1), rho the ring's `reg_G_upper`, and its
+    closures are exact, so s is.  The exact weak-m-full failure at alpha-1
+    revalidates alpha.
     """
     ring = I.ring
     policy = policy or GenericElementPolicy()
     depth_witness(ring)
-    cert = reduction_number(I, max_iter=max_iter)
-    r = cert.r
-    bound = s_bound if s_bound is not None else max(reg_G_upper(ring), 1)
-    s_result = s_index(ring, bound, rr_j_cap)
+    r = reduction_number(I).r
+    bound = max(reg_G_upper(ring), 1)
+    s_result = s_index(ring, bound)
     s = s_result.s
     alpha = max(r, s - 1)
     n1 = n3 = alpha
@@ -450,17 +450,12 @@ def dao_numbers(
     n2_certified = n2 == 0
 
     # Exact cross-checks of alpha (weak m-fullness is deterministic).
-    alpha_ok = True
-    if alpha >= 1:
-        alpha_ok = alpha_ok and not table[alpha - 1].weakly_m_full.value
-    alpha_ok = alpha_ok and table[alpha].weakly_m_full.value
-    alpha_ok = alpha_ok and table[alpha + 1].weakly_m_full.value
+    alpha_ok = (alpha == 0 or not table[alpha - 1].weakly_m_full.value) and all(
+        row.weakly_m_full.value for row in table[alpha:alpha + 2]
+    )
     flags["alpha_validated"] = alpha_ok
     if not alpha_ok:
-        flags["warning"] = (
-            "predicate table contradicts alpha; a given s_bound can stop the "
-            "s-scan below s -- increase s_bound or leave it unset"
-        )
+        flags["warning"] = "predicate table contradicts alpha; this indicates an engine bug"
     if n2 > alpha:
         flags["n2_scan_discrepancy"] = True
 
@@ -497,7 +492,6 @@ def verify_statements(
     assert_dim: int | None = None,
     assert_minimal: bool = False,
     known_reg: int | None = None,
-    **dao_kwargs,
 ) -> tuple[DaoReport, tuple[StatementCheck, ...]]:
     """Instance-wise verification of the structural statements the engine
     relies on, evaluated on the given ring and reduction.
@@ -513,7 +507,7 @@ def verify_statements(
     """
     # The harness samples harder than interactive queries do.
     policy = policy or GenericElementPolicy(trials=8)
-    report = dao_numbers(I, policy, known_reg=known_reg, **dao_kwargs)
+    report = dao_numbers(I, policy, known_reg=known_reg)
     alpha = report.alpha
     checks: list[StatementCheck] = []
 
@@ -573,8 +567,7 @@ def verify_statements(
 
     # Colon chains: closing one more power and coloning by m descends.  The
     # ring keeps the records the index report already scanned.
-    j_cap = dao_kwargs.get("rr_j_cap", DEFAULT_RR_JCAP)
-    s_records = s_index(ring, alpha + 2, j_cap).records
+    s_records = s_index(ring, alpha + 2).records
     descend_bad = []
     for lower, upper in zip(s_records, s_records[1:]):
         lhs = ideal_colon(upper.stable_value, ring.maximal_ideal())

@@ -21,15 +21,19 @@ intersection of the results, is the reference for the colons of
 `idealcalc.ideal_colon`, which are kernels on P/N when N contains a power
 of m and come from syzygies otherwise; and the ascending Ratliff-Rush
 colon chain m^(n+j) : m^j, built from Groebner colons, is the reference
-for the closures of `invariants.ratliff_rush_power`.
+for the closures of `invariants.ratliff_rush_power`.  The walk up the
+ladder I m^k + m^(k+2), by products and normal forms, is the reference for
+`invariants.reduction_number`, which reads r off the tangent cone instead.
 """
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product as iter_product
 
-from fullness_lab.groebner import DEFAULT_DEGREE_CAP, eliminate, reduce_basis
-from fullness_lab.idealcalc import IdealHandle, ideal_equal_local
+from fullness_lab.groebner import DEFAULT_DEGREE_CAP, eliminate, normal_form, reduce_basis
+from fullness_lab.idealcalc import IdealHandle, ideal_equal_local, ideal_product
+from fullness_lab.polyring import monomials_of_degree
 
 
 # -- monomial-ideal arithmetic on exponent tuples ---------------------------
@@ -364,3 +368,32 @@ def rr_chain(ring, n: int, window: int = 3, j_cap: int = 25) -> list:
         if matches >= window:
             return chain
     raise AssertionError(f"no window of {window} equal terms for power {n} within j <= {j_cap}")
+
+
+# -- the reduction number by the ladder walk --------------------------------
+
+def random_polynomial(rng: random.Random, amb, degrees=(1,)):
+    """A polynomial with every monomial of the given degrees; over F_p each
+    coefficient is drawn from the whole field (a dense form), over Q it is
+    a small fraction, zero about one time in four."""
+    p = amb.field.characteristic
+    f = amb.zero()
+    for d in degrees:
+        for u in monomials_of_degree(amb.nvars, d):
+            c = rng.randrange(p) if p else Fraction(rng.randint(-9, 9) * (rng.random() < 0.75), rng.randint(1, 5))
+            f = f + amb.constant(c) * amb.monomial(u)
+    return f
+
+
+def reduction_number_by_ladder(I, max_k: int = 6) -> int:
+    """The least k with m^(k+1) inside the rung T_k = I m^k + m^(k+2) of P,
+    T_k = T_(k-1) m, decided by normal forms: by Nakayama that is
+    I m^k = m^(k+1) locally.  An AssertionError means no k <= max_k
+    passed, which is how a non-reduction shows here."""
+    ring = I.ring
+    rung = IdealHandle(ring, [*I.gens, *ring.m_power(2).gens])
+    for k in range(max_k + 1):
+        if all(normal_form(g, rung.gb).is_zero() for g in ring.m_power(k + 1).gens):
+            return k
+        rung = ideal_product(rung, ring.maximal_ideal())
+    raise AssertionError(f"no reduction equality for k <= {max_k}")

@@ -108,6 +108,15 @@ def test_input_error_paths(tmp_path):
     bad_json.write_text("{не json")
     assert cli.main(["dao", "--input", str(bad_json)]) == 1
 
+    # usage errors are input errors too (argparse alone would exit 2, the
+    # code of a mathematical error); --help still exits 0
+    regular = corpus.path("regular_2d")
+    for argv in (["dao", "--input", regular, "--bogus", "1"], ["dao", "--input", regular, "--seed", "abc"], []):
+        assert cli.main(argv) == 1, argv
+    with pytest.raises(SystemExit) as done:
+        cli.main(["dao", "--help"])
+    assert done.value.code == 0
+
     malformed = tmp_path / "malformed.json"
     malformed.write_text(
         json.dumps(
@@ -163,27 +172,24 @@ def test_input_error_paths(tmp_path):
     for option, value in [
         ("trials", "x"),
         ("degree_cap", "abc"),
-        ("s_bound", "5"),
         ("known_reg", "3"),
-        ("max_iter", True),
-        ("rr_j_cap", 2.5),
+        ("known_reg", True),
         ("assert_minimal", "false"),
         ("ideal", ["m"]),
         ("colon_a", ["A"]),
         ("colon_b", 1),
         ("trials", 0),
         ("trials", -3),
-        ("s_bound", 0),
-        ("s_bound", -2),
-        ("rr_j_cap", 0),
-        ("max_iter", -1),
         ("degree_cap", 0),
         ("degree_cap", -3),
         ("known_reg", -1),
-        # unknown keys, a stale one among them, are refused, not ignored
+        # unknown keys, stale ones among them, are refused, not ignored
         ("trails", 8),
         ("characteristic", 0),
         ("rr_window", 3),
+        ("s_bound", 5),
+        ("rr_j_cap", 25),
+        ("max_iter", 50),
     ]:
         wrong = tmp_path / f"wrong_{option}_{value}.json"
         wrong.write_text(json.dumps(dict(base, options={**base["options"], option: value})))
@@ -224,11 +230,18 @@ def test_trailing_whitespace_in_a_relation_is_accepted(tmp_path):
     assert cli.main(["gb", "--input", str(path)]) == 0
 
 
-def test_verify_honors_max_iter():
-    # max_iter = 0 cannot certify the reduction number r = 1 of L = (x, y)
-    path = corpus.path("example_4_2_L")
-    assert cli.main(["verify", "--input", path, "--max-iter", "0"]) == 2
-    assert cli.main(["dao", "--input", path, "--max-iter", "0"]) == 2
+def test_the_caps_of_earlier_versions_are_unknown(tmp_path, capsys):
+    # max_iter, s_bound and rr_j_cap could only turn a certified answer into
+    # an error or a wrong s; they are refused like any unknown key or flag.
+    problem = corpus.load("example_4_2_L")
+    for key in ("max_iter", "s_bound", "rr_j_cap"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(dict(problem, options={**problem["options"], key: 8})))
+        assert cli.main(["dao", "--input", str(path)]) == 1, key
+        assert f"unknown options ['{key}']" in capsys.readouterr().err
+    for flag in ("--max-iter", "--s-bound"):
+        assert cli.main(["verify", "--input", corpus.path("example_4_2_L"), flag, "8"]) == 1, flag
+        assert capsys.readouterr().err.startswith("input error: unrecognized arguments")
 
 
 def test_mathematical_error_exit_code(tmp_path):
@@ -239,7 +252,7 @@ def test_mathematical_error_exit_code(tmp_path):
                 "ring": {"characteristic": 32003, "variables": ["x", "y"], "relations": []},
                 "ideals": {"I": ["x"]},
                 "task": "rednum",
-                "options": {"ideal": "I", "max_iter": 5},
+                "options": {"ideal": "I"},
             }
         )
     )
@@ -274,7 +287,6 @@ def test_ring_table_stays_bounded():
     def presentation(i):
         problem = corpus.load("regular_2d")
         problem["ring"]["variables"] = [f"bounded{i}x", f"bounded{i}y"]
-        problem["options"]["s_bound"] = 2
         return problem
 
     def live_rings():
@@ -330,7 +342,30 @@ def test_start_request_keeps_only_ring_level_entries():
     after = ring._op_cache
     assert after and not any(_names_ideal_or_element(key) for key in after)
     assert all(before[key] is value for key, value in after.items())
-    assert {key[0] for key in after} == {"m-power", "depth-witness", "rr", "reg-G-upper"}
+    assert {key[0] for key in after} == {"m-power", "depth-witness", "rr", "tangent-cone", "reg-G-upper"}
+
+
+def test_readme_names_the_flags_and_options_the_cli_accepts(monkeypatch, capsys):
+    import argparse
+    import re
+
+    flags = set()
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def record(self, *names, **kwargs):
+        flags.update(name for name in names if name.startswith("--"))
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", record)
+    assert cli.main(["corpus"]) == 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    command_line = readme.split("## Command line")[1].split("\n## ")[0]
+    synopsis = command_line.split("```")[1]
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == flags - {"--help"}
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", command_line, re.M))
+    assert rows.keys() == cli.INT_OPTIONS.keys() | cli.TYPED_OPTIONS.keys()
+    for key, least in cli.INT_OPTIONS.items():
+        assert rows[key] == ("integer" if least is None else f"integer ≥ {least}"), key
 
 
 def _plain(value):
@@ -409,7 +444,7 @@ def test_characteristic_zero_pipeline():
         "ring": {"characteristic": 0, "variables": ["x", "y"], "relations": []},
         "ideals": {},
         "task": "dao",
-        "options": {"ideal": "m", "s_bound": 3},
+        "options": {"ideal": "m"},
     }
     report = cli.run(problem)
     results = report["results"]

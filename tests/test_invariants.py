@@ -37,7 +37,7 @@ from fullness_lab.invariants import (
     s_index,
     verify_statements,
 )
-from fullness_lab.polyring import PolyRing, PrimeField
+from fullness_lab.polyring import QQ, PolyRing, PrimeField
 
 P32 = PrimeField(32003)
 POLICY = GenericElementPolicy(trials=8, seed=1234)
@@ -63,6 +63,21 @@ REG2 = QuotientRing(PolyRing(["x", "y"], P32))
 REG3 = QuotientRing(PolyRing(["x", "y", "z"], P32))
 
 
+@functools.cache
+def y_cubed(field=P32):
+    """k[x, y]/(y^3): G(m) = P/(y^3), so r of (x) and of (x + y^2) is 2."""
+    amb = PolyRing(["x", "y"], field)
+    return QuotientRing(amb, [amb.parse("y^3")])
+
+
+def y_cubed_f2():
+    return y_cubed(PrimeField(2))
+
+
+def y_cubed_qq():
+    return y_cubed(QQ)
+
+
 # -- reduction numbers -------------------------------------------------------
 
 def test_reduction_number_rational_singularity():
@@ -84,13 +99,16 @@ def test_maximal_ideal_reduces_itself():
 
 
 def test_non_reduction_detected():
+    # No bound on a search is needed: G(m)/L G(m) has infinite length.
     with pytest.raises(NotAReductionError):
-        reduction_number(REG2.parse_ideal(["x"]), max_iter=6)
+        reduction_number(REG2.parse_ideal(["x"]))
     with pytest.raises(NotAReductionError):
         reduction_number(REG2.parse_ideal(["x + 1"]))  # not inside m
     for E in (REG2, ring_4_2()):
         with pytest.raises(NotAReductionError):
-            reduction_number(E.parse_ideal(["x^2"]), max_iter=6)
+            reduction_number(E.parse_ideal(["x^2"]))
+    with pytest.raises(NotAReductionError):
+        reduction_number(REG3.parse_ideal(["x", "y"]))
 
 
 def _least_k_with_local_equality(I):
@@ -112,6 +130,10 @@ def _least_k_with_local_equality(I):
         # Non-general: the x/y minor vanishes mod 32003, so the ideal holds z.
         (ring_4_2, ["11640*x + 30444*y + 1554*z", "14143*x + 30161*y + 15051*z"], 3),
         (ring_4_1, ["x + y + z", "t"], 1),
+        (y_cubed, ["x"], 2),
+        (y_cubed, ["x + y^2"], 2),
+        (y_cubed_f2, ["x"], 2),
+        (y_cubed_qq, ["x + y^2"], 2),
     ],
 )
 def test_reduction_number_matches_local_equality(ring, gens, r):
@@ -120,6 +142,8 @@ def test_reduction_number_matches_local_equality(ring, gens, r):
 
 
 def test_reduction_number_decides_on_ideals_that_contain_a_power_of_m(monkeypatch):
+    # r is read off P/(J* + L), whose basis holds a pure power of every
+    # variable, never off local equality tests on I m^k.
     from fullness_lab import invariants
 
     # invariants does not import ideal_contains_local_ideal; the guard is
@@ -128,20 +152,40 @@ def test_reduction_number_decides_on_ideals_that_contain_a_power_of_m(monkeypatc
         monkeypatch.setattr(
             invariants, name, lambda *a, _n=name: pytest.fail(f"{_n} called"), raising=False
         )
-    seen = []
+    assert reduction_number(ring_4_2().parse_ideal(["x"])).r == 3
 
-    def record(K, k, _original=invariants._contains_m_power):
-        seen.append((K, k))
-        return _original(K, k)
 
-    monkeypatch.setattr(invariants, "_contains_m_power", record)
-    E = ring_4_2()
-    assert reduction_number(E.parse_ideal(["x"])).r == 3
-    # T_k = I m^k + m^(k+2) is asked about m^(k+1), and at the end T_(r+1)
-    # about m^(r+2).
-    assert [k for _, k in seen] == [1, 2, 3, 4, 5]
-    for K, k in seen:
-        assert all(normal_form(g, K.gb).is_zero() for g in E.m_power(k + 1).gens)
+@pytest.mark.parametrize("seed", range(4))
+def test_reduction_number_matches_the_ladder_walk(seed):
+    # Dense draws as the benchmark makes them (two linear forms, some with a
+    # vanishing x/y minor), one form, three forms and a form plus a
+    # quadric, over F_32003 and Q.  Too few forms in dimension two and
+    # three are not reductions, and both methods must refuse them.  A
+    # reduction on these rings has r <= 3, so the oracle's bound k <= 6 is
+    # never what stops it.
+    rng = random.Random(seed)
+    for name in ("example_4_1", "example_4_2_I", "regular_3d_parameter"):
+        for characteristic in (32003, 0):
+            problem = corpus.load(name)
+            problem["ring"]["characteristic"] = characteristic
+            ring = cli.build_ring(problem)
+            amb, last = ring.ambient, ring.ambient.gens()[-1]
+            for shape in ("dense", "degenerate", "one", "three", "quadric"):
+                forms = [oracles.random_polynomial(rng, amb) for _ in range(3 if shape == "three" else 2)]
+                if shape == "degenerate":
+                    forms[1] = forms[0] * amb.constant(rng.randint(1, 9)) + last
+                elif shape == "one":
+                    forms = forms[:1]
+                elif shape == "quadric":
+                    forms[1] = oracles.random_polynomial(rng, amb, (1, 2))
+                I = ring.ideal(forms)
+                try:
+                    want = oracles.reduction_number_by_ladder(I)
+                except AssertionError:
+                    with pytest.raises(NotAReductionError):
+                        reduction_number(I)
+                    continue
+                assert reduction_number(I).r == want, (name, characteristic, shape, forms)
 
 
 # -- Ratliff-Rush closures ---------------------------------------------------
@@ -171,14 +215,10 @@ def test_rr_window_validation():
 
 
 def test_rr_chain_cap():
-    # The closure of m^2 on example_4_3 is certified at j = 6, so the cap
-    # decides whether it is returned, also once the ring keeps the record.
+    # The closure of m^2 on example_4_3 is certified at j = 6: no cap on j
+    # turns it into an error, also once the ring keeps the record.
     ring = cli.build_ring(corpus.load("example_4_3"))
-    with pytest.raises(ChainCapExceeded):
-        ratliff_rush_power(ring, 2, j_cap=5)
-    assert ratliff_rush_power(ring, 2, j_cap=6).j == 6
-    with pytest.raises(ChainCapExceeded):
-        ratliff_rush_power(ring, 2, j_cap=5)
+    assert ratliff_rush_power(ring, 2).j == 6
     assert ratliff_rush_power(ring, 2).j == 6
 
 
@@ -308,16 +348,21 @@ def test_dao_semigroup_minimal_reduction():
 
 def test_table_ideals_are_truncated_by_a_checked_power_of_m():
     # I m^n + m^(n+r+1) is I m^n in the local ring; an r that is too small
-    # is caught rather than silently changing the ideals.
+    # or too large is caught rather than silently changing the ideals.
     from fullness_lab.invariants import InvariantError, _ladder, _table_rows
 
     E = ring_4_2()
     I = E.parse_ideal(["x"])  # r = 3
     for n in range(3):
         assert ideal_equal_local(_ladder(I, n, 4), times_m_power(I, n))
-    for wrong in (0, 1, 2):
+    for wrong in (0, 1, 2, 4, 5):
         with pytest.raises(InvariantError):
             _table_rows(I, wrong, POLICY, [1])
+    _table_rows(I, 3, POLICY, [0])
+    # At r = 0 the guard asks I + m^2, not rung 0 = I + m, about m.
+    with pytest.raises(InvariantError):
+        _table_rows(E.parse_ideal(["x", "y"]), 0, POLICY, [0])
+    _table_rows(E.maximal_ideal(), 0, POLICY, [0])
 
 
 def test_table_rungs_keep_the_basis_of_the_truncated_ideal():
@@ -334,32 +379,29 @@ def test_table_rungs_keep_the_basis_of_the_truncated_ideal():
 @pytest.mark.parametrize(
     "ring, gens", [(ring_4_2, ["x", "y"]), (ring_4_1, ["x + y + z", "t"])]
 )
-def test_table_reads_the_rungs_reduction_number_walked(monkeypatch, ring, gens):
-    # With r = 1 the table ideals I m^n + m^(n+2) are the rungs on which
-    # reduction_number decided r, and the product N = K m that m-fullness
-    # takes of a rung is the next rung: one handle, one Groebner basis.
+def test_reduction_number_builds_no_rung(monkeypatch, ring, gens):
+    # r comes from one Groebner basis of J* + L: no rung, no product and no
+    # normal form of m-powers.  The table then builds its rungs, and the
+    # product N = K m that m-fullness takes of a rung is the next rung: one
+    # handle, one Groebner basis.
     from fullness_lab import invariants
     from fullness_lab.idealcalc import ideal_product
 
-    walked, table = {}, []
-
-    def record_walk(K, k, _original=invariants._contains_m_power):
-        walked.setdefault(k - 1, K)
-        return _original(K, k)
+    E = ring()
+    I = E.parse_ideal(gens)
+    with monkeypatch.context() as patch:
+        for name in ("_ladder", "_contains_m_power", "ideal_product"):
+            patch.setattr(invariants, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+        assert reduction_number(I).r == 1
+    table = []
 
     def record_rung(K, policy, _original=invariants.is_m_full):
         table.append(K)  # rows are built in order n = 0, 1, ...
         return _original(K, policy)
 
-    monkeypatch.setattr(invariants, "_contains_m_power", record_walk)
     monkeypatch.setattr(invariants, "is_m_full", record_rung)
-    E = ring()
-    report = dao_numbers(E.parse_ideal(gens), POLICY)
+    report = dao_numbers(I, POLICY)
     assert report.r == 1 and len(table) == report.alpha + 2
-    # reduction_number asks T_0 about m, T_1 about m^2 and T_2 about m^3.
-    assert sorted(walked) == [0, 1, 2]
-    for n in range(report.r + 2):
-        assert table[n] is walked[n], n
     for n in range(len(table) - 1):
         assert ideal_product(table[n], E.maximal_ideal()) is table[n + 1], n
 
@@ -423,7 +465,7 @@ def test_dao_reg_bound_consistency():
 
 def test_dao_rejects_non_reduction():
     with pytest.raises(NotAReductionError):
-        dao_numbers(REG2.parse_ideal(["x"]), POLICY, max_iter=5)
+        dao_numbers(REG2.parse_ideal(["x"]), POLICY)
 
 
 def test_depth_probe_failure():

@@ -11,7 +11,7 @@ from fullness_lab import cli, corpus
 from fullness_lab.fullness import GenericElementPolicy
 from fullness_lab.groebner import DegreeCapExceeded
 from fullness_lab.idealcalc import QuotientRing, quotient_view
-from fullness_lab.invariants import dao_numbers, reg_G_upper, regularity_bound, tangent_cone
+from fullness_lab.invariants import dao_numbers, reg_G_upper, regularity_bound, s_index, tangent_cone
 from fullness_lab.polyring import PolyRing, PrimeField, monomials_of_degree
 
 # rho per corpus ring.  example_4_2 is exact: y^4 is a minimal generator of
@@ -114,8 +114,5 @@ def test_s_with_the_derived_bound_equals_s_with_the_old_floor(name):
     I = ring.parse_ideal(gens) if gens else ring.maximal_ideal()
     policy = GenericElementPolicy(seed=1)
     derived = dao_numbers(I, policy)
-    floor = dao_numbers(I, policy, s_bound=8)
-    assert derived.flags["s_bound"] == max(RHO[name], 1)
-    assert (derived.r, derived.s, derived.n1, derived.n2, derived.n3) == (
-        floor.r, floor.s, floor.n1, floor.n2, floor.n3
-    )
+    assert derived.flags["s_bound"] == derived.s_certified_up_to == max(RHO[name], 1)
+    assert derived.s == s_index(ring, 8).s
