@@ -7,7 +7,7 @@ colons), and low-degree colon membership can be decided by linear algebra
 over F_p.  These stay deliberately separate from the library code paths
 they validate.
 
-The last five sections are the exception.  Substitution of polynomials
+The last six sections are the exception.  Substitution of polynomials
 for variables uses the library's polynomial arithmetic.  Division, the
 maps of multiplication on P/N and elimination in the field's own
 arithmetic (fractions over Q) are the references for the integral division
@@ -380,7 +380,10 @@ def random_polynomial(rng: random.Random, amb, degrees=(1,)):
     f = amb.zero()
     for d in degrees:
         for u in monomials_of_degree(amb.nvars, d):
-            c = rng.randrange(p) if p else Fraction(rng.randint(-9, 9) * (rng.random() < 0.75), rng.randint(1, 5))
+            if p:
+                c = rng.randrange(p)
+            else:
+                c = Fraction(rng.randint(-9, 9) * (rng.random() < 0.75), rng.randint(1, 5))
             f = f + amb.constant(c) * amb.monomial(u)
     return f
 
