@@ -11,9 +11,6 @@ quotient (P/J)_m with m the ideal of the variables:
   n1, n2, n3 with their exact termination certificate alpha = max(r, s - 1).
 """
 from .polyring import (
-    EQ,
-    GT,
-    LT,
     Monomial,
     MonomialOrder,
     ParseError,

@@ -16,6 +16,11 @@ primitive with a positive lead from the seeds on: each generator is made so
 before it is reduced, and each S-polynomial of two such elements is
 integral, so every division (see _Reducers.reduce) and every remainder is
 integral.  Only the reduced basis is made monic, with Fractions.
+
+Elimination needs no ring of its own: a tag ring is built with its tag
+variables first, under the block order that makes them dominate, and
+`eliminate` drops that first block, reducing only the elements of the
+completed basis whose leads are free of it.
 """
 from __future__ import annotations
 
@@ -284,7 +289,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def reduce_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> GroebnerBasis:
     """The reduced Groebner basis of the ideal generated by `basis`, which
     must already be a Groebner basis of it in `ring`'s order."""
-    basis = sorted((g for g in basis if g), key=lambda g: ring.order.key(g.lead_monomial))
+    desc_key = ring.order.desc_key
+    basis = sorted((g for g in basis if g), key=lambda g: desc_key(g.lead_monomial), reverse=True)
     # Minimalize: drop elements whose lead is divisible by another lead.
     minimal: list[Polynomial] = []
     for g in basis:
@@ -364,7 +370,8 @@ def _complete(gens: list[Polynomial], degree_cap: int, aside: list | None = None
     # normalized before it is reduced, so over Q its reduction is integral.
     basis: list[Polynomial] = []
     reducers = _Reducers(ring)
-    for g in sorted((g for g in gens if g), key=lambda g: ring.order.key(g.lead_monomial)):
+    desc_key = ring.order.desc_key
+    for g in sorted((g for g in gens if g), key=lambda g: desc_key(g.lead_monomial), reverse=True):
         h = _normalized(g)
         if basis:
             r = normal_form(h, reducers)
@@ -383,7 +390,7 @@ def _complete(gens: list[Polynomial], degree_cap: int, aside: list | None = None
     packed_leads = [reducers.pack(m)[1] for m in leads]
     pairs: list = []
     active: list[int] = []
-    for k in sorted(range(len(basis)), key=lambda k: ring.order.key(leads[k])):
+    for k in sorted(range(len(basis)), key=lambda k: desc_key(leads[k]), reverse=True):
         active = _update_pairs(pairs, leads, packed_leads, active, k, reducers)
     if len(active) < len(basis):
         reducers = _Reducers(ring, (basis[k] for k in active))
@@ -413,37 +420,22 @@ def _complete(gens: list[Polynomial], degree_cap: int, aside: list | None = None
 
 
 def eliminate(
-    generators: Sequence[Polynomial],
-    drop: Iterable[str],
-    degree_cap: int = DEFAULT_DEGREE_CAP,
+    generators: Sequence[Polynomial], degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> list[Polynomial]:
-    """Generators of <generators> intersected with the subring on the
-    variables outside `drop`, via a block elimination order.
+    """The reduced basis of <generators> intersected with the subring on
+    the variables after the first block of their ring's block order.
 
-    The result is returned in the original ring (dropped variables simply do
-    not occur).
+    Under that order an element whose lead is free of the first block has
+    no term that involves it, and those elements of any Groebner basis are
+    one of the elimination ideal, so only they are reduced.  They stay in
+    the generators' ring, where the dropped variables do not occur.
     """
     gens = list(generators)
     if not gens:
         return []
     ring = gens[0].ring
-    drop = list(dict.fromkeys(drop))
-    for v in drop:
-        if v not in ring.variables:
-            raise PolyringError(f"cannot eliminate {v!r}: not a ring variable")
-    if len(drop) == len(ring.variables):
-        raise PolyringError("cannot eliminate every variable")
-    if not drop:
-        return list(buchberger(gens, degree_cap=degree_cap).basis)
-
-    keep = [v for v in ring.variables if v not in drop]
-    block_ring = PolyRing(
-        tuple(drop) + tuple(keep), ring.field, MonomialOrder.elimination(len(drop))
-    )
-    moved = [block_ring.convert(g) for g in gens]
-    gb = buchberger(moved, degree_cap=degree_cap)
-    ndrop = len(drop)
-    # Under the block order a lead free of the dropped variables has no term
-    # that involves them.
-    survivors = [g for g in gb.basis if not any(g.lead_monomial[:ndrop])]
-    return [ring.convert(g) for g in survivors]
+    if ring.order.kind != MonomialOrder.BLOCK:
+        raise PolyringError("eliminate needs a ring under a block order")
+    split = ring.order.split
+    survivors = [g for g in _complete(gens, degree_cap) if not any(g.lead_monomial[:split])]
+    return list(reduce_basis(ring, survivors).basis)

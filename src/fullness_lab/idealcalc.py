@@ -470,7 +470,7 @@ def _intersect_lifts(
 
     mixed = [w * homogenized(g) for g in gens_a]
     mixed += [one_minus_w * homogenized(g) for g in gens_b]
-    survivors = eliminate(mixed, [aux], degree_cap)
+    survivors = eliminate(mixed, degree_cap)
     return [ring.from_dict({m[1:-1]: c for m, c in g.terms}) for g in survivors]
 
 
@@ -499,7 +499,8 @@ def _syzygy_colon(
         aside: list[Polynomial] = []
         _complete(numerator + [Polynomial(ext, tagged(c * b, 1) + tagged(c, 0)) for c in colon],
                   degree_cap, aside)
-        colon = buchberger([*numerator_basis, *map(ring.convert, aside)], degree_cap)
+        remainders = [ring.from_dict({m[1:]: c for m, c in g.terms}) for g in aside]
+        colon = buchberger([*numerator_basis, *remainders], degree_cap)
     return colon
 
 

@@ -44,6 +44,7 @@ from .groebner import DegreeCapExceeded, GroebnerBasis, buchberger, eliminate, n
 from .idealcalc import (
     IdealHandle,
     QuotientRing,
+    _fresh_name,
     _kernel,
     _rank,
     ideal_colon,
@@ -52,7 +53,7 @@ from .idealcalc import (
     is_nonzerodivisor,
     quotient_view,
 )
-from .polyring import Monomial, Polynomial, PolyringError, monomials_of_degree
+from .polyring import Monomial, MonomialOrder, PolyRing, Polynomial, PolyringError, monomials_of_degree
 
 
 class InvariantError(PolyringError):
@@ -94,16 +95,17 @@ def depth_witness(ring: QuotientRing) -> Polynomial:
 def tangent_cone(ring: QuotientRing) -> GroebnerBasis:
     """Reduced basis of J*, the ideal of the lowest-degree forms of J, so
     that G(m) = P/J*: ((f(t x) : f in J) : t^inf) at t = 0, the saturation
-    one elimination of w from (f(t x), 1 - t w).  Kept by the ring."""
+    one elimination of w from (f(t x), 1 - t w) in (w | t, x…).  Kept by
+    the ring."""
     amb = ring.ambient
 
     def build() -> GroebnerBasis:
         if not ring.relations:
             return GroebnerBasis(amb, ())
-        w, t = [v for v in (f"h{i}" for i in range(amb.nvars + 2)) if v not in amb.variables][:2]
-        ext = amb.extend_front([w, t])
+        w, t = _fresh_name("w", amb.variables), _fresh_name("t", amb.variables)
+        ext = PolyRing((w, t, *amb.variables), amb.field, MonomialOrder.elimination(1))
         gens = [ext.from_dict({Monomial((0, sum(m), *m)): c for m, c in f.terms}) for f in ring.relations]
-        saturated = eliminate(gens + [ext.one() - ext.gen(t) * ext.gen(w)], [w], ring.degree_cap)
+        saturated = eliminate(gens + [ext.one() - ext.gen(t) * ext.gen(w)], ring.degree_cap)
         at_zero = [amb.from_dict({Monomial(m[2:]): c for m, c in g.terms if not m[1]}) for g in saturated]
         return buchberger(at_zero, degree_cap=ring.degree_cap)
 
@@ -227,8 +229,6 @@ def reduction_number(I: IdealHandle) -> ReductionCertificate:
     for g in I.gens:
         if ring.reduce(g).constant_term != amb.field.zero:
             raise NotAReductionError("ideal is not contained in the maximal ideal")
-    if not any(ring.reduce(g) for g in I.gens):
-        raise NotAReductionError("the zero ideal is not a reduction of m")
     linear = [amb.from_dict({u: c for u, c in g.terms if sum(u) == 1}) for g in I.gens]
     gens = [*tangent_cone(ring).basis, *filter(None, linear)]
     leads = [g.lead_monomial for g in buchberger(gens, ring.degree_cap).basis] if gens else []

@@ -13,11 +13,8 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, sub
 from typing import Iterator, Sequence
-
-# Comparison outcomes of MonomialOrder.compare.
-LT, EQ, GT = -1, 0, 1
 
 DEFAULT_PRIME = 32003
 
@@ -181,25 +178,14 @@ class Monomial(tuple):
         return Monomial((0,) * nvars)
 
 
-def _drl_key(exps: Sequence[int]):
-    # Degrevlex ascending key: higher total degree wins, ties broken by the
-    # last distinct exponent being smaller.
-    return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
-# Descending keys: each is the ascending key with every entry negated (and
-# the nesting flattened), so sorting by it lists monomials from largest to
-# smallest and a min-heap on it pops the largest monomial first.  They need
-# no per-exponent Python work, which is what the kernel's sorts and heaps
-# pay for.
+# Descending keys: sorting by one lists monomials from largest to smallest,
+# and a min-heap on it pops the largest monomial first.  They need no
+# per-exponent Python work, which is what the kernel's sorts and heaps pay
+# for.
 
 
 def _drl_desc_key(m):
     return (-sum(m), m[::-1])
-
-
-def _lex_desc_key(m):
-    return tuple(map(neg, m))
 
 
 def _block_desc_key(split: int):
@@ -211,19 +197,20 @@ def _block_desc_key(split: int):
 
 
 class MonomialOrder:
-    """Total order on monomials: degrevlex, lex, or a two-block elimination
-    order (first `split` variables dominate, degrevlex inside each block).
+    """Total order on monomials: degrevlex, or the two-block elimination
+    order whose first `split` variables dominate, degrevlex inside each
+    block.  The block order puts a ring's tag variables first, so that
+    `groebner.eliminate` drops them.
 
-    `desc_key(m)` sorts ascending in the opposite order to `key(m)`."""
+    `desc_key(m)` sorts monomials from the largest to the smallest."""
 
     __slots__ = ("kind", "split", "desc_key")
 
     DEGREVLEX = "degrevlex"
-    LEX = "lex"
     BLOCK = "block"
 
     def __init__(self, kind: str = DEGREVLEX, split: int = 0):
-        if kind not in (self.DEGREVLEX, self.LEX, self.BLOCK):
+        if kind not in (self.DEGREVLEX, self.BLOCK):
             raise PolyringError(f"unknown monomial order kind {kind!r}")
         if kind == self.BLOCK and split <= 0:
             raise PolyringError("block order needs a positive split index")
@@ -231,8 +218,6 @@ class MonomialOrder:
         self.split = split
         if kind == self.DEGREVLEX:
             self.desc_key = _drl_desc_key
-        elif kind == self.LEX:
-            self.desc_key = _lex_desc_key
         else:
             self.desc_key = _block_desc_key(split)
 
@@ -241,27 +226,14 @@ class MonomialOrder:
         return cls(cls.DEGREVLEX)
 
     @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls(cls.LEX)
-
-    @classmethod
     def elimination(cls, split: int) -> "MonomialOrder":
         return cls(cls.BLOCK, split)
 
-    def key(self, m: Sequence[int]):
-        if self.kind == self.DEGREVLEX:
-            return _drl_key(m)
-        if self.kind == self.LEX:
-            return tuple(m)
-        return (_drl_key(m[: self.split]), _drl_key(m[self.split :]))
-
     def weights(self, nvars: int, bound: int) -> tuple[int, ...]:
-        """Integer weights w such that sum(e_i * w_i) orders and tells apart
-        monomials as `key` does, provided every exponent is below `bound`.
+        """Integer weights w such that sum(e_i * w_i) is larger for the
+        larger of two monomials, provided every exponent is below `bound`.
         The weighted sum of a product is the sum of its factors'."""
         base = bound << nvars.bit_length()  # exceeds every total degree
-        if self.kind == self.LEX:
-            return tuple(base ** (nvars - 1 - i) for i in range(nvars))
 
         def drl(n):  # degree first, then the smaller last exponent
             return [base**n - base**i for i in range(n)]
@@ -271,17 +243,6 @@ class MonomialOrder:
         tail = nvars - self.split
         scale = 2 * base ** (tail + 1)  # exceeds twice any tail-block sum
         return tuple([w * scale for w in drl(self.split)] + drl(tail))
-
-    def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Compare two monomials; returns LT, EQ or GT."""
-        if len(a) != len(b):
-            raise RingMismatchError("monomials of different lengths are not comparable")
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
 
     def __eq__(self, other):
         return (
@@ -402,36 +363,13 @@ class PolyRing:
 
     def extend_front(self, new_vars: Sequence[str]) -> "PolyRing":
         """Ring with `new_vars` prepended, under the elimination block order
-        that makes them dominate (used for intersections and colons)."""
+        that makes them dominate (used for the tag of syzygy colons)."""
         new_vars = tuple(new_vars)
         return PolyRing(
             new_vars + self.variables,
             self.field,
             MonomialOrder.elimination(len(new_vars)),
         )
-
-    def convert(self, f: "Polynomial") -> "Polynomial":
-        """Re-express a polynomial in this ring, matching variables by name.
-
-        Source variables absent from this ring must not actually occur in f.
-        """
-        src = f.ring
-        if src is self:
-            return f
-        positions = [self._var_index.get(v) for v in src.variables]
-        d = {}
-        for m, c in f.terms:
-            exps = [0] * self.nvars
-            for pos, e in zip(positions, m):
-                if pos is None:
-                    if e != 0:
-                        raise RingMismatchError(
-                            "polynomial involves a variable not present in the target ring"
-                        )
-                    continue
-                exps[pos] = e
-            d[tuple(exps)] = c
-        return self.from_dict(d)
 
     def __repr__(self):
         return f"PolyRing({self.field!r}; {', '.join(self.variables)}; {self.order.kind})"

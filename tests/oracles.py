@@ -196,7 +196,9 @@ def divide(f, divisors):
     of smallest lead whose lead divides it, the quotient c / lead taken in
     the field."""
     ring, field = f.ring, f.ring.field
-    divisors = sorted((g for g in divisors if g), key=lambda g: ring.order.key(g.lead_monomial))
+    divisors = sorted(
+        (g for g in divisors if g), key=lambda g: ring.order.desc_key(g.lead_monomial), reverse=True
+    )
     work, remainder = dict(f.terms), {}
     while work:
         m = min(work, key=ring.order.desc_key)
@@ -306,16 +308,20 @@ def kernel(rows: list[dict], field) -> list[dict]:
 
 def tag_intersection(ring, gens_a, gens_b, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Reduced basis of (gens_a) ∩ (gens_b) in `ring`, as
-    ( w·(gens_a) + (1-w)·(gens_b) ) ∩ ring with a fresh tag variable w,
-    eliminated as it stands."""
+    ( w·(gens_a) + (1-w)·(gens_b) ) ∩ ring with a fresh tag variable w
+    first in (w | ring's variables), eliminated as it stands."""
     aux = "w"
     while aux in ring.variables:
         aux += "w"
     ext = ring.extend_front([aux])
-    w = ext.gen(aux)
-    mixed = [w * ext.convert(g) for g in gens_a]
-    mixed += [(ext.one() - w) * ext.convert(g) for g in gens_b]
-    return reduce_basis(ring, [ring.convert(g) for g in eliminate(mixed, [aux], degree_cap)])
+
+    def tagged(g, e):  # w^e·g
+        return ext.from_dict({(e, *m): c for m, c in g.terms})
+
+    mixed = [tagged(g, 1) for g in gens_a]
+    mixed += [tagged(g, 0) - tagged(g, 1) for g in gens_b]
+    survivors = eliminate(mixed, degree_cap)
+    return reduce_basis(ring, [ring.from_dict({m[1:]: c for m, c in g.terms}) for g in survivors])
 
 
 def exact_quotient(f, b):

@@ -244,19 +244,29 @@ def test_the_caps_of_earlier_versions_are_unknown(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("input error: unrecognized arguments")
 
 
+def _rednum_problem(path, variables, relations, gens):
+    path.write_text(json.dumps({
+        "ring": {"characteristic": 32003, "variables": variables, "relations": relations},
+        "ideals": {"I": gens},
+        "task": "rednum",
+        "options": {"ideal": "I"},
+    }))
+    return str(path)
+
+
 def test_mathematical_error_exit_code(tmp_path):
-    not_reduction = tmp_path / "notred.json"
-    not_reduction.write_text(
-        json.dumps(
-            {
-                "ring": {"characteristic": 32003, "variables": ["x", "y"], "relations": []},
-                "ideals": {"I": ["x"]},
-                "task": "rednum",
-                "options": {"ideal": "I"},
-            }
-        )
-    )
-    assert cli.main(["rednum", "--input", str(not_reduction)]) == 2
+    # Not reductions: (x) in k[x, y], and the zero ideal in positive
+    # dimension, in k[x, y]/(y^3) and in k[x, y].
+    for relations, gens in (([], ["x"]), (["y^3"], ["0"]), ([], ["0"])):
+        path = _rednum_problem(tmp_path / "notred.json", ["x", "y"], relations, gens)
+        assert cli.main(["rednum", "--input", path]) == 2, (relations, gens)
+
+
+def test_rednum_of_the_zero_ideal_in_dimension_zero(tmp_path, capsys):
+    # In k[x]/(x^2) the zero ideal is a reduction of m, with r = 1.
+    path = _rednum_problem(tmp_path / "zero.json", ["x"], ["x^2"], ["x^2"])
+    assert cli.main(["rednum", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["r"] == 1
 
 
 def test_degree_cap_option_maps_to_math_error(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
-from fullness_lab import groebner
+from fullness_lab import cli, corpus, groebner
 from fullness_lab.groebner import (
     DegreeCapExceeded,
     buchberger,
@@ -82,7 +82,8 @@ def test_buchberger_monomial_ideal_is_its_own_basis():
 
 
 def test_buchberger_lex_pair():
-    ring = PolyRing(["x", "y"], PrimeField(32003), MonomialOrder.lex())
+    # On two variables the block order with split 1 is lex.
+    ring = PolyRing(["x", "y"], PrimeField(32003), MonomialOrder.elimination(1))
     f, g = ring.parse("x^2 + y"), ring.parse("y^2")
     gb = buchberger([f, g])
     assert set(str(h) for h in gb.basis) == {"x^2 + y", "y^2"}
@@ -157,42 +158,86 @@ def test_buchberger_idempotent():
     assert again.basis == gb.basis
 
 
+T3 = PolyRing(["t", "x", "y"], PrimeField(32003), MonomialOrder.elimination(1))
+
+
 def test_eliminate_two_principal_ideals():
-    ring = PolyRing(["x", "y", "t"], PrimeField(32003))
-    out = eliminate([ring.parse("t*x"), ring.parse("(1 - t)*y")], ["t"])
+    out = eliminate([T3.parse("t*x"), T3.parse("(1 - t)*y")])
     assert [str(g) for g in out] == ["x*y"]
 
 
 def test_eliminate_parametrized_curve():
-    ring = PolyRing(["x", "y", "t"], PrimeField(32003))
-    out = eliminate([ring.parse("x - t^2"), ring.parse("y - t^3")], ["t"])
+    out = eliminate([T3.parse("x - t^2"), T3.parse("y - t^3")])
     assert len(out) == 1
     kernel = out[0].monic()
-    assert kernel == ring.parse("x^3 - y^2").monic()
+    assert kernel == T3.parse("x^3 - y^2").monic()
     # independent check: the generator vanishes under the parametrization
-    pulled = oracles.substitute(kernel, {"x": ring.parse("t^2"), "y": ring.parse("t^3")})
+    pulled = oracles.substitute(kernel, {"x": T3.parse("t^2"), "y": T3.parse("t^3")})
     assert pulled.is_zero()
 
 
 def test_eliminate_nothing_returns_same_ideal():
-    gens = [P("x^2 + y"), P("y^2")]
-    out = eliminate(gens, [])
-    gb = buchberger(gens)
-    assert buchberger(out).basis == gb.basis
+    # t does not occur, so eliminating it keeps the reduced basis.
+    out = eliminate([T3.parse("x^2 + y"), T3.parse("y^2")])
+    gb = buchberger([P("x^2 + y"), P("y^2")])
+    assert [str(g) for g in out] == [str(g) for g in gb.basis]
 
 
-def test_eliminate_rejects_bad_drop_sets():
-    gens = [P("x^2 + y")]
-    with pytest.raises(Exception):
-        eliminate(gens, ["q"])
-    with pytest.raises(Exception):
-        eliminate(gens, ["x", "y"])
+def test_eliminate_refuses_a_ring_without_a_block_order():
+    # The first block of the ring's order is what it drops.
+    with pytest.raises(PolyringError):
+        eliminate([P("x^2 + y")])
+    assert eliminate([]) == []
 
 
 def test_degree_cap_aborts():
-    ring = PolyRing(["x", "y", "t"], PrimeField(32003))
     with pytest.raises(DegreeCapExceeded):
-        eliminate([ring.parse("x - t^2"), ring.parse("y - t^3")], ["t"], degree_cap=2)
+        eliminate([T3.parse("x - t^2"), T3.parse("y - t^3")], degree_cap=2)
+
+
+def _tag_free_part(gens):
+    """The elements of the full reduced basis whose lead is free of the
+    first block: what `eliminate` returns, without skipping the rest."""
+    split = gens[0].ring.order.split
+    return [g for g in buchberger(gens).basis if not any(g.lead_monomial[:split])]
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_eliminate_reduces_only_what_the_full_basis_keeps(characteristic):
+    # Under a block order the tag-free elements of the reduced basis are
+    # the reduced basis of the elimination ideal, so reducing only the
+    # tag-free elements of the completed basis gives the same list.  Cases:
+    # the homogenized intersections of `idealcalc` on seeded pairs of
+    # ideals, and the saturation behind the tangent cone of example_4_3's
+    # relations, both in rings built tag-first.
+    field = PrimeField(characteristic) if characteristic else QQ
+    amb = PolyRing(["x", "y", "z"], field)
+    ext = PolyRing(["w", "x", "y", "z", "h"], field, MonomialOrder.elimination(1))
+    rng = random.Random(f"eliminate:{characteristic}")
+
+    def draw():
+        return amb.from_dict({tuple(rng.randrange(3) for _ in range(3)): rng.randint(-5, 5)
+                              for _ in range(3)})
+
+    def tagged(g, e):  # w^e times the homogenization of g by h
+        d = g.total_degree
+        return ext.from_dict({(e, *m, d - sum(m)): c for m, c in g.terms})
+
+    for _ in range(6):
+        gens_a, gens_b = buchberger([draw(), draw()]).basis, buchberger([draw(), draw()]).basis
+        mixed = [tagged(g, 1) for g in gens_a] + [tagged(g, 0) - tagged(g, 1) for g in gens_b]
+        assert eliminate(mixed) == _tag_free_part(mixed)
+
+    problem = corpus.load("example_4_3")
+    problem["ring"]["characteristic"] = characteristic
+    ring = cli.build_ring(problem)
+    cone = PolyRing(["w", "t", *ring.ambient.variables], field, MonomialOrder.elimination(1))
+    w, t = cone.gen("w"), cone.gen("t")
+    # f(t x) = t^deg f(x) for each relation f, and 1 - t w saturates by t.
+    gens = [cone.from_dict({(0, sum(m), *m): c for m, c in f.terms}) for f in ring.relations]
+    gens.append(cone.one() - t * w)
+    out = eliminate(gens)
+    assert out == _tag_free_part(gens) and len(out) > 1
 
 
 def test_basis_object_semantics():

@@ -78,6 +78,13 @@ def y_cubed_qq():
     return y_cubed(QQ)
 
 
+def x_squared():
+    """k[x]/(x^2), of dimension 0: its zero ideal is a reduction of m, with
+    0·m = m^2 = 0 while 0 ≠ m, so r = 1."""
+    amb = PolyRing(["x"], P32)
+    return QuotientRing(amb, [amb.parse("x^2")])
+
+
 # -- reduction numbers -------------------------------------------------------
 
 def test_reduction_number_rational_singularity():
@@ -109,6 +116,10 @@ def test_non_reduction_detected():
             reduction_number(E.parse_ideal(["x^2"]))
     with pytest.raises(NotAReductionError):
         reduction_number(REG3.parse_ideal(["x", "y"]))
+    # In positive dimension the finite-length test refuses the zero ideal.
+    for E in (REG2, y_cubed()):
+        with pytest.raises(NotAReductionError):
+            reduction_number(E.parse_ideal(["0"]))
 
 
 def _least_k_with_local_equality(I):
@@ -134,6 +145,8 @@ def _least_k_with_local_equality(I):
         (y_cubed, ["x + y^2"], 2),
         (y_cubed_f2, ["x"], 2),
         (y_cubed_qq, ["x + y^2"], 2),
+        (x_squared, ["x^2"], 1),
+        (x_squared, ["0"], 1),
     ],
 )
 def test_reduction_number_matches_local_equality(ring, gens, r):

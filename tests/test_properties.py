@@ -79,6 +79,8 @@ def test_arithmetic_laws(f, g, h):
 @given(exponents, exponents, exponents)
 @settings(max_examples=200, deadline=None)
 def test_orders_respect_multiplication(a, b, c):
-    for order in (MonomialOrder.degrevlex(), MonomialOrder.lex(), MonomialOrder.elimination(1)):
+    for order in (MonomialOrder.degrevlex(), MonomialOrder.elimination(1)):
+        key = order.desc_key
         ma, mb, mc = Monomial(a), Monomial(b), Monomial(c)
-        assert order.compare(ma.mul(mc), mb.mul(mc)) == order.compare(ma, mb)
+        ka, kb, kac, kbc = key(ma), key(mb), key(ma.mul(mc)), key(mb.mul(mc))
+        assert (ka < kb, ka == kb) == (kac < kbc, kac == kbc)
