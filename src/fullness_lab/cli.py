@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from collections import OrderedDict
@@ -415,6 +416,8 @@ def main(argv: list[str] | None = None) -> int:
                     slow = "  [slow]" if entry["slow"] else ""
                     print(f"{entry['name']:24s} task={entry['task']:7s} {entry['path']}{slow}")
             return 0
+        if not 0 < args.time_budget < math.inf:  # 0 would disarm the timer, -1 and nan break it
+            raise InputError(f"--time-budget must be positive and finite, not {args.time_budget}")
         problem = load_problem(args.input)
         overrides = {
             "task": args.command,

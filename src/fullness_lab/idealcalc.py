@@ -24,11 +24,13 @@ this is why the ambient order must be degrevlex.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .groebner import (
     DEFAULT_DEGREE_CAP,
+    DegreeCapExceeded,
     GroebnerBasis,
     _complete,
     _integral,
@@ -260,13 +262,46 @@ class QuotientView(NamedTuple):
 
     def colon(self, b: Polynomial) -> IdealHandle:
         """N : b in P, N plus the lifts of the kernel of b· on P/N."""
+        return self.ideal_of(_kernel(self.images(b), self.ideal.ring.ambient.field))
+
+    def ideal_of(self, vectors: list[dict]) -> IdealHandle:
+        """N plus the lifts of the vectors, whose span must be an ideal of
+        P/N, read off their reduced echelon form with no S-pairs (the
+        quotient-space view of Marinari, Möller and Mora 1993).  With the
+        columns in the monomial order, the pivots are the leads of the
+        result inside std(N).  Its reduced basis is the rows whose pivot no
+        other pivot divides, and the elements of N.gb whose lead no pivot
+        divides, their tails cleared of pivots.  A row kept above the ring's
+        degree cap raises DegreeCapExceeded, as a new element in `buchberger`
+        does; N's own elements never do."""
         N, amb = self.ideal, self.ideal.ring.ambient
-        kernel = _kernel(self.images(b), amb.field)
-        if not kernel:
+        if not vectors:
             return N
-        lifts = [amb.from_dict({self.std[k]: c for k, c in v.items()}) for v in kernel]
-        gb = buchberger([*N.gb.basis, *lifts], degree_cap=N.ring.degree_cap)
-        return IdealHandle._with_basis(N.ring, gb)
+        p, cap, desc_key = amb.characteristic, N.ring.degree_cap, amb.order.desc_key
+        ascending = sorted(self.std, key=desc_key, reverse=True)
+        rank = {self.index[u]: r for r, u in enumerate(ascending)}
+        echelon = _echelon([{rank[k]: c for k, c in v.items()} for v in vectors], amb.field)
+        rows: dict[Monomial, dict] = {}  # pivot: its row, monic and reduced
+        for col, found in sorted(echelon.items()):  # a finished row meets no other pivot
+            row = {ascending[k]: c if p else Fraction(c, found[col]) for k, c in found.items()}
+            for m in [m for m in row if m in rows]:
+                _add_into(row, rows[m], -row[m], p)
+            rows[ascending[col]] = row
+        minimal = [t for t in rows if not any(
+            Monomial((*t[:i], e - 1, *t[i + 1:])) in rows for i, e in enumerate(t) if e)]
+        basis = [amb.from_dict(rows[t]) for t in minimal]
+        for g in N.gb.basis:
+            if not any(t.divides(g.lead_monomial) for t in minimal):
+                terms = dict(g.terms)
+                for m, c in g.terms[1:]:
+                    if m in rows:
+                        _add_into(terms, rows[m], -c, p)
+                basis.append(amb.from_dict(terms))
+        top = max(sum(t) for t in minimal)
+        if top > cap:
+            raise DegreeCapExceeded(top, cap)
+        basis.sort(key=lambda g: desc_key(g.lead_monomial), reverse=True)
+        return IdealHandle._with_basis(N.ring, GroebnerBasis(amb, basis))
 
 
 def _apply(matrix: list[dict], vector: dict, p: int) -> dict:

@@ -277,20 +277,19 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
     if n >= N:
         return RRChainRecord(n, low, 0)
     high = ring.m_power(N)
-    domain, target = quotient_view(low).std, quotient_view(high)
-    images = [{target.index[u]: 1} for u in domain]
+    view, target = quotient_view(low), quotient_view(high)
+    images = [{target.index[u]: 1} for u in view.std]
     for _ in range(N - n):
         images = target.times(x, images)
     kernel = _kernel(images, amb.field)
-    lifts = [amb.from_dict({domain[i]: c for i, c in vector.items()}) for vector in kernel]
-    closure = IdealHandle(ring, [*low.gb.basis, *lifts]) if lifts else low
+    lifts = [amb.from_dict({view.std[i]: c for i, c in vector.items()}) for vector in kernel]
     for j in range(N - n + 1):
         top = ring.m_power(n + j).gb
         if all(
             normal_form(g * amb.monomial(w), top).is_zero()
             for w in monomials_of_degree(amb.nvars, j) for g in lifts
         ):
-            return RRChainRecord(n, closure, j)
+            return RRChainRecord(n, view.ideal_of(kernel), j)
     return None
 
 

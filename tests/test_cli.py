@@ -12,6 +12,7 @@ import pytest
 
 from fullness_lab import cli
 from fullness_lab import corpus
+from fullness_lab.groebner import DegreeCapExceeded
 from fullness_lab.idealcalc import IdealHandle, QuotientRing
 from fullness_lab.polyring import Polynomial
 
@@ -116,6 +117,10 @@ def test_input_error_paths(tmp_path):
     with pytest.raises(SystemExit) as done:
         cli.main(["dao", "--help"])
     assert done.value.code == 0
+    # a time budget must be a positive finite number of seconds: 0 would
+    # disarm the timer, and -1 and nan would break it
+    for budget in ("0", "-1", "nan", "inf"):
+        assert cli.main(["dao", "--input", regular, "--time-budget", budget]) == 1, budget
 
     malformed = tmp_path / "malformed.json"
     malformed.write_text(
@@ -288,6 +293,28 @@ def test_degree_cap_option_maps_to_math_error(tmp_path):
     assert cli.main(["colon", "--input", str(uncapped)]) == 0
     assert cli.main(["colon", "--input", str(capped)]) == 2
     assert cli.main(["colon", "--input", str(uncapped)]) == 0
+
+
+def test_a_kernel_colon_holds_only_the_rows_it_adds_to_the_degree_cap(tmp_path, capsys):
+    # (x^4, y^4) : x is (x^3, y^4).  P/N has standard monomials up to
+    # x^3*y^3, of degree 6, above cap 5.  The colon adds one row, x^3, and
+    # keeps y^4 from N; like a new element in a Groebner run, only the row
+    # counts against the cap.
+    problem = {
+        "ring": {"characteristic": 32003, "variables": ["x", "y"], "relations": []},
+        "ideals": {"A": ["x^4", "y^4"], "B": ["x"]},
+        "task": "colon",
+        "options": {},
+    }
+    for cap, code in ((5, 0), (3, 0), (2, 2)):
+        path = tmp_path / f"cap{cap}.json"
+        path.write_text(json.dumps(dict(problem, options={"degree_cap": cap})))
+        assert cli.main(["colon", "--input", str(path)]) == code, cap
+        out = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(out)["results"]["generators"] == ["x^3", "y^4"]
+    with pytest.raises(DegreeCapExceeded):
+        cli.run(dict(problem, options={"degree_cap": 2}))
 
 
 def test_ring_table_stays_bounded():

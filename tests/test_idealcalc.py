@@ -18,6 +18,7 @@ from fullness_lab.groebner import buchberger, normal_form
 from fullness_lab.idealcalc import (
     IdealcalcError,
     QuotientRing,
+    QuotientView,
     _echelon,
     _kernel,
     _rank,
@@ -31,7 +32,7 @@ from fullness_lab.idealcalc import (
     quotient_view,
     times_m_power,
 )
-from fullness_lab.invariants import _ladder, ratliff_rush_power, reg_G_upper
+from fullness_lab.invariants import _ladder, ratliff_rush_power, reduction_number, reg_G_upper
 from fullness_lab.polyring import QQ, MonomialOrder, PolyRing, PrimeField, monomials_of_degree
 
 P32 = PrimeField(32003)
@@ -333,6 +334,98 @@ def test_kernel_colons_match_the_groebner_colon(name, characteristic):
         for f in [*expected.gb.basis, *m.gens]:
             widened = buchberger([*A.gb.basis, *(x * f for x in amb.gens())])
             assert ideal_contains_local(A, f) == normal_form(f, widened).is_zero(), (str(A), str(f))
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+@pytest.mark.parametrize("name", FAST_CORPUS)
+def test_colons_read_off_the_echelon_form_match_buchberger(name, characteristic):
+    # `QuotientView.colon` reads the reduced basis of N : b off the echelon
+    # form of the kernel of b· on P/N.  On the rungs I m^n + m^(n+r+1) of
+    # the table, by a variable, a dense linear form and a nonlinear form, it
+    # must be the basis Buchberger gives on N's basis and the kernel's lifts,
+    # and the tag-variable colon.  An element of N gives (1), and a unit,
+    # injective on P/N, gives N itself.
+    problem = corpus.load(name)
+    problem["ring"]["characteristic"] = characteristic
+    ring = cli.build_ring(problem)
+    I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
+    amb, r = ring.ambient, reduction_number(I).r
+    x = amb.variables
+    dense = amb.parse(" + ".join(f"{k + 2}*{v}" for k, v in enumerate(x)))
+    forms = [amb.gen(x[0]), dense, amb.parse(f"{x[0]}*{x[-1]} - 3*{x[-1]}^2 + {x[0]}^3")]
+    for n in range(3):
+        N = _ladder(I, n, r + 1)
+        view = quotient_view(N)
+        for b in forms:
+            kernel = _kernel(view.images(b), amb.field)
+            lifts = [amb.from_dict({view.std[k]: c for k, c in v.items()}) for v in kernel]
+            got = view.colon(b).gb.basis
+            assert got == buchberger([*N.gb.basis, *lifts]).basis, (str(N), str(b))
+            assert got == oracles.groebner_colon(N, ring.ideal([b])).gb.basis, (str(N), str(b))
+        for g in N.gb.basis:
+            assert view.colon(g).gb.basis == (amb.one(),)
+        assert view.colon(amb.one() + dense) is N
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_an_ideal_read_off_mixed_vectors_is_the_one_they_span(characteristic):
+    # The kernels the program takes come out nearly reduced; here the
+    # vectors are random mixes of the normal forms of u·f, u standard and f
+    # a random form of degree 2 or 3 plus one of degree 4, so their echelon
+    # form needs back substitution.  The result must be the basis of N + (f…).
+    field = PrimeField(characteristic) if characteristic else QQ
+    amb = PolyRing(["x", "y", "z"], field)
+    ring, rng = QuotientRing(amb, [amb.parse("x*y - z^2")]), random.Random(29)
+    for _ in range(6):
+        N = _ladder(ring.ideal([oracles.random_polynomial(rng, amb, (2,))]), 0, 5)
+        view = quotient_view(N)
+        fs = [oracles.random_polynomial(rng, amb, (rng.randint(2, 3), 4)) for _ in range(rng.randint(1, 2))]
+        spanning = []
+        for f in fs:
+            for u in view.std:
+                r = normal_form(amb.monomial(u) * f, N.gb)
+                spanning.append({view.index[m]: c for m, c in r.terms})
+        vectors = []
+        for _ in spanning:
+            mixed: dict = {}
+            for v in rng.sample(spanning, min(3, len(spanning))):
+                c = field.normalize(rng.randint(1, 9))
+                for k, a in v.items():
+                    mixed[k] = field.add(mixed.get(k, field.zero), field.mul(c, a))
+            vectors.append({k: a for k, a in mixed.items() if a})
+        vectors = [v for v in vectors + spanning if v]
+        got = view.ideal_of(vectors).gb.basis
+        assert got == buchberger([*N.gb.basis, *fs]).basis, (str(N), [str(f) for f in fs])
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_closures_read_off_the_echelon_form_match_buchberger(monkeypatch, characteristic):
+    # Every Ratliff-Rush record below rho + 1 is read off a kernel on
+    # P/m^n by `QuotientView.ideal_of`; each call must give the basis
+    # Buchberger gives on the basis of J + m^n and the kernel's lifts.
+    original, checked = QuotientView.ideal_of, []
+
+    def ideal_of(view, vectors):
+        got = original(view, vectors)
+        amb = view.ideal.ring.ambient
+        lifts = [amb.from_dict({view.std[k]: c for k, c in v.items()}) for v in vectors]
+        assert got.gb.basis == buchberger([*view.ideal.gb.basis, *lifts]).basis, str(view.ideal)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(QuotientView, "ideal_of", ideal_of)
+    field = PrimeField(characteristic) if characteristic else QQ
+    for name in ("example_4_2_I", "example_4_2_L", "regular_2d"):
+        spec = corpus.load(name)["ring"]
+        amb = PolyRing(spec["variables"], field)
+        ring = QuotientRing(amb, [amb.parse(f) for f in spec["relations"]])  # a fresh memo
+        rho = reg_G_upper(ring)
+        for n in range(1, rho + 2):
+            record = ratliff_rush_power(ring, n)
+            if n <= rho:
+                assert any(record.stable_value is got for got in checked), (name, n)
+            else:
+                assert record.stable_value is ring.m_power(n)
 
 
 def test_an_ideal_with_a_second_point_takes_the_groebner_colon():
