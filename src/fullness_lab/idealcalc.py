@@ -11,8 +11,9 @@ An ideal N of P that contains a power of m is m-primary: P/N = R/N is
 finite-dimensional, and local and global questions about N agree.  Its
 `QuotientView` numbers the standard monomials of N and keeps the maps
 M_{x_i} of multiplication by each variable on them, so that a colon N : b
-is N plus the lifts of the kernel of b· on P/N (one Buchberger run, no
-elimination), and membership in N is a normal form.  Over Q the maps
+is N plus the lifts of the kernel of b· on P/N, its reduced basis read off
+the kernel's echelon form (no Buchberger run, no elimination), and
+membership in N is a normal form.  Over Q the maps
 are integral, with one common denominator per view, and ranks and kernels
 come from one echelon form, fraction-free over Q (`_echelon`), so kernel
 vectors are integral.  Every other colon comes from syzygies
@@ -229,7 +230,8 @@ class QuotientView(NamedTuple):
     by each variable, maps[i][k] the coordinates of D·x_i times standard
     monomial k, integral with D the common denominator of the M_{x_i} (1
     over F_p), each column from an integral reduction divided by its gcd
-    (`_quotient_view`).  A vector is a sparse dict {number: coefficient}."""
+    (`_quotient_view`).  A vector is a sparse dict {number: coefficient};
+    an ideal of P/N spanned by vectors lifts to one of P (`ideal_of`)."""
 
     ideal: IdealHandle
     std: list[Monomial]
@@ -261,7 +263,7 @@ class QuotientView(NamedTuple):
         return self.times(b, [{k: 1} for k in range(len(self.std))])
 
     def colon(self, b: Polynomial) -> IdealHandle:
-        """N : b in P, N plus the lifts of the kernel of b· on P/N."""
+        """N : b in P, N plus the lifts of the kernel of b· on P/N (`ideal_of`)."""
         return self.ideal_of(_kernel(self.images(b), self.ideal.ring.ambient.field))
 
     def ideal_of(self, vectors: list[dict]) -> IdealHandle:
@@ -269,11 +271,11 @@ class QuotientView(NamedTuple):
         P/N, read off their reduced echelon form with no S-pairs (the
         quotient-space view of Marinari, Möller and Mora 1993).  With the
         columns in the monomial order, the pivots are the leads of the
-        result inside std(N).  Its reduced basis is the rows whose pivot no
-        other pivot divides, and the elements of N.gb whose lead no pivot
-        divides, their tails cleared of pivots.  A row kept above the ring's
-        degree cap raises DegreeCapExceeded, as a new element in `buchberger`
-        does; N's own elements never do."""
+        result inside std(N), and its reduced basis is the rows whose pivot
+        no other pivot divides, with the elements of N.gb whose lead no
+        pivot divides, their tails cleared of pivots.  As a new element in
+        `buchberger` does, a row kept above the ring's degree cap raises
+        DegreeCapExceeded; N's own elements never do."""
         N, amb = self.ideal, self.ideal.ring.ambient
         if not vectors:
             return N
@@ -287,7 +289,7 @@ class QuotientView(NamedTuple):
             for m in [m for m in row if m in rows]:
                 _add_into(row, rows[m], -row[m], p)
             rows[ascending[col]] = row
-        minimal = [t for t in rows if not any(
+        minimal = [t for t in rows if not any(  # the pivots are closed under the x_i
             Monomial((*t[:i], e - 1, *t[i + 1:])) in rows for i, e in enumerate(t) if e)]
         basis = [amb.from_dict(rows[t]) for t in minimal]
         for g in N.gb.basis:

@@ -266,12 +266,13 @@ def _certified_closure(ring: QuotientRing, n: int, x: Polynomial) -> RRChainReco
     m^N is closed (s <= rho + 1), so for any x in m the closure of m^n
     times x^(N-n) lies in m^N: the closure lies in K.  K contains J + m^n,
     and K / (J + m^n) is the kernel of v -> x^(N-n) v from P/(J + m^n) to
-    P/(J + m^N), a kernel on standard monomials whose images are read off
-    the maps of the quotient view of J + m^N.  If K m^j lies in m^(n+j)
-    for some j, K lies in the closure, so it is the closure.  The closure
-    is m^N : m^(N-n), so j = N - n is the last to try: K passes there iff
-    it is the closure, which a superficial x always gives (Heinzer, Lantz
-    and Shah 1992).
+    P/(J + m^N), whose images are read off the maps of the quotient view
+    of J + m^N; that kernel is an ideal of P/(J + m^n), and K's reduced
+    basis is read off it (`QuotientView.ideal_of`).  If K m^j lies in
+    m^(n+j) for some j, K lies in the closure, so it is the closure.  The
+    closure is m^N : m^(N-n), so j = N - n is the last to try: K passes
+    there iff it is the closure, which a superficial x always gives
+    (Heinzer, Lantz and Shah 1992).
     """
     N, amb, low = reg_G_upper(ring) + 1, ring.ambient, ring.m_power(n)
     if n >= N:
