@@ -284,13 +284,16 @@ class QuotientView(NamedTuple):
         rank = {self.index[u]: r for r, u in enumerate(ascending)}
         echelon = _echelon([{rank[k]: c for k, c in v.items()} for v in vectors], amb.field)
         rows: dict[Monomial, dict] = {}  # pivot: its row, monic and reduced
-        for col, found in sorted(echelon.items()):  # a finished row meets no other pivot
+        for col, found in sorted(echelon.items()):  # each row cleared by the rows below it
             row = {ascending[k]: c if p else Fraction(c, found[col]) for k, c in found.items()}
             for m in [m for m in row if m in rows]:
                 _add_into(row, rows[m], -row[m], p)
             rows[ascending[col]] = row
         minimal = [t for t in rows if not any(  # the pivots are closed under the x_i
             Monomial((*t[:i], e - 1, *t[i + 1:])) in rows for i, e in enumerate(t) if e)]
+        top = max(sum(t) for t in minimal)
+        if top > cap:
+            raise DegreeCapExceeded(top, cap)
         basis = [amb.from_dict(rows[t]) for t in minimal]
         for g in N.gb.basis:
             if not any(t.divides(g.lead_monomial) for t in minimal):
@@ -299,9 +302,6 @@ class QuotientView(NamedTuple):
                     if m in rows:
                         _add_into(terms, rows[m], -c, p)
                 basis.append(amb.from_dict(terms))
-        top = max(sum(t) for t in minimal)
-        if top > cap:
-            raise DegreeCapExceeded(top, cap)
         basis.sort(key=lambda g: desc_key(g.lead_monomial), reverse=True)
         return IdealHandle._with_basis(N.ring, GroebnerBasis(amb, basis))
 

@@ -104,7 +104,7 @@ def test_verify_task_emits_checks():
     assert statuses["n2_le_n3_eq_n1"] == "HOLDS"
 
 
-def test_input_error_paths(tmp_path):
+def test_input_error_paths(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{не json")
     assert cli.main(["dao", "--input", str(bad_json)]) == 1
@@ -121,6 +121,7 @@ def test_input_error_paths(tmp_path):
     # disarm the timer, and -1 and nan would break it
     for budget in ("0", "-1", "nan", "inf"):
         assert cli.main(["dao", "--input", regular, "--time-budget", budget]) == 1, budget
+        assert "input error: --time-budget" in capsys.readouterr().err, budget
 
     malformed = tmp_path / "malformed.json"
     malformed.write_text(
