@@ -6,12 +6,12 @@ An ideal I of the local ring (R, m) is
 * full            if  I : x = I : m     for some x in m \\ m^2,
 * weakly m-full   if  Im : m = I.
 
-The first two are existential over a *general* element; the infinite
-residue field of the source setting is modeled over F_p by sampling random
-linear forms.  Positive answers are exact: the witness is re-verified by the
-rank of multiplication by it on R/N when N contains a power of m, and by
-the colon computation itself otherwise.  Negative answers after a finite
-number of trials are probabilistic and reported with ``certified=False``.
+The first two are existential over a *general* element, modeled over F_p
+(the source has an infinite residue field) by sampling random linear forms.
+Each test is N : (b_j) = T: the rank of v ↦ (b_1 v, …, b_k v) on R/N when N
+contains a power of m, else the Groebner colon, with one sampled x as the
+b_j or, for the third, all of m.  Positive answers are exact; negative ones
+after finitely many trials are probabilistic, reported ``certified=False``.
 """
 from __future__ import annotations
 
@@ -110,20 +110,19 @@ def _validate_proper(I: IdealHandle):
 
 
 def is_weakly_m_full(I: IdealHandle) -> PredicateResult:
-    """Deterministic predicate: Im : m = I."""
-    _validate_proper(I)
-    m = I.ring.maximal_ideal()
-    value = ideal_equal_local(ideal_colon(ideal_product(I, m), m), I)
+    """Deterministic predicate: Im : m = I, the m-full test by all of m."""
+    value = _equation(I, "m-full")(*I.ring.maximal_ideal().gens)
     return PredicateResult(value, None, certified=True, trials_used=0)
 
 
 def _equation(I: IdealHandle, predicate: str):
-    """The test of one x in m \\ m^2 that witnesses `predicate` for I.
+    """The test N : (b_1, …, b_k) = T of forms b_j: one x in m \\ m^2 that
+    witnesses `predicate` for I, or all of m.
 
-    T lies in N : x, so the test is N : x = T.  When N contains a power of
-    m, R/N is finite-dimensional and length(R/(N : x)) is the rank of x on
-    R/N, read off the maps of N's quotient view, so the test is that rank
-    against length(R/T); otherwise it is the Groebner colon.
+    T lies in N : (b_j), so the test is one of length.  When N contains a
+    power of m, R/N is finite-dimensional and length(R/(N : (b_j))) is the
+    rank of v ↦ (b_1 v, …, b_k v) on R/N, read off N's quotient view, so
+    the test is that rank against length(R/T); else the Groebner colon.
     """
     _validate_proper(I)
     m = I.ring.maximal_ideal()
@@ -135,12 +134,12 @@ def _equation(I: IdealHandle, predicate: str):
         raise FullnessError(f"unknown predicate {predicate!r}")
     view = quotient_view(N)
     if view is None:
-        return lambda x: ideal_equal_local(ideal_colon(N, I.ring.ideal([x])), T)
+        return lambda *forms: ideal_equal_local(ideal_colon(N, I.ring.ideal(forms)), T)
     # N lies in T, so T's standard monomials are those of N no lead of T divides.
     leads = [g.lead_monomial for g in T.gb.basis]
     length = sum(1 for u in view.std if not any(t.divides(u) for t in leads))
     field = I.ring.ambient.field
-    return lambda x: _rank(view.images(x), field) == length
+    return lambda *forms: _rank(view.images(*forms), field) == length
 
 
 def _sample_witness(

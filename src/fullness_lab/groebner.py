@@ -15,7 +15,10 @@ Over F_p the loop keeps its basis monic.  Over Q it keeps it integral and
 primitive with a positive lead from the seeds on: each generator is made so
 before it is reduced, and each S-polynomial of two such elements is
 integral, so every division (see _Reducers.reduce) and every remainder is
-integral.  Only the reduced basis is made monic, with Fractions.
+integral.  Only the reduced basis is made monic, with Fractions.  The
+degree cap bounds what the loop adds: an S-pair remainder above it raises
+DegreeCapExceeded, while the generators and their seed reductions are
+never refused.
 
 Elimination needs no ring of its own: a tag ring is built with its tag
 variables first, under the block order that makes them dominate, and

@@ -258,9 +258,16 @@ class QuotientView(NamedTuple):
             images.append(out)
         return images
 
-    def images(self, b: Polynomial) -> list[dict]:
-        """The matrix of b· on P/N, one row per standard monomial, as `times` scales it."""
-        return self.times(b, [{k: 1} for k in range(len(self.std))])
+    def images(self, *forms: Polynomial) -> list[dict]:
+        """The matrix of v ↦ (b_1 v, …, b_k v) on P/N, one row per standard
+        monomial, block j at column offset j·λ(P/N) and scaled as `times`
+        scales b_j: a factor per block, which moves no rank and no kernel."""
+        units = [{k: 1} for k in range(len(self.std))]
+        rows = self.times(forms[0], units)
+        for j, b in enumerate(forms[1:], 1):
+            for row, image in zip(rows, self.times(b, units)):
+                row.update({j * len(units) + k: c for k, c in image.items()})
+        return rows
 
     def colon(self, b: Polynomial) -> IdealHandle:
         """N : b in P, N plus the lifts of the kernel of b· on P/N (`ideal_of`)."""

@@ -48,6 +48,7 @@ from .idealcalc import (
     _kernel,
     _rank,
     ideal_colon,
+    ideal_contains_local_ideal,
     ideal_equal_local,
     ideal_product,
     is_nonzerodivisor,
@@ -184,18 +185,6 @@ class ReductionCertificate(NamedTuple):
     ideal: IdealHandle
     r: int
     checked_up_to: int
-
-
-def _contains_m_power(K: IdealHandle, k: int) -> bool:
-    """Does m^k lie in K in P?  Checked by normal forms of the degree-k
-    monomials.
-
-    Callers pass an ideal that contains a power of m, so it is m-primary
-    and the answer is the same in the local ring.  By Nakayama, m^k lies in
-    an ideal A locally iff it lies in A + m^(k+1), which is how a question
-    about an arbitrary A becomes one about such an ideal.
-    """
-    return all(normal_form(g, K.gb).is_zero() for g in K.ring.m_power(k).gens)
 
 
 def _ladder(I: IdealHandle, n: int, c: int) -> IdealHandle:
@@ -388,11 +377,12 @@ def _table_rows(
     m^(n+r+1) = m^n I m^r lies in I m^n.  That rests on r, so r is checked
     again first, by Nakayama on the table's own rungs: m^(r+1) must lie in
     rung r, and for r >= 1 m^r must not lie in rung r - 1.  At r = 0 rung 0
-    is I + m, which holds m whatever I is, so I + m^2 is asked instead.  A
-    wrong r raises.
+    is I + m, which holds m whatever I is, so I + m^2 is asked instead.
+    Rungs contain a power of m, so `ideal_contains_local_ideal` answers by
+    normal forms.  A wrong r raises.
     """
-    if not _contains_m_power(_ladder(I, r, max(r + 1, 2)), r + 1) or (
-        r and _contains_m_power(_ladder(I, r - 1, r + 1), r)
+    if not ideal_contains_local_ideal(_ladder(I, r, max(r + 1, 2)), I.ring.m_power(r + 1)) or (
+        r and ideal_contains_local_ideal(_ladder(I, r - 1, r + 1), I.ring.m_power(r))
     ):
         raise InvariantError(
             f"r = {r} is not the least k with I m^k = m^(k+1) locally; "

@@ -318,6 +318,22 @@ def test_a_kernel_colon_holds_only_the_rows_it_adds_to_the_degree_cap(tmp_path, 
         cli.run(dict(problem, options={"degree_cap": 2}))
 
 
+def test_the_degree_cap_never_refuses_the_input_generators(tmp_path, capsys):
+    # The cap holds what a run adds: S-pair remainders and kept kernel
+    # rows.  The generators and their seed reductions are never refused,
+    # so gb of (x^4, y^4), whose S-pair is zero, answers at cap 2.
+    problem = {
+        "ring": {"characteristic": 32003, "variables": ["x", "y"], "relations": []},
+        "ideals": {"I": ["x^4", "y^4"]},
+        "task": "gb",
+        "options": {"degree_cap": 2},
+    }
+    path = tmp_path / "gb.json"
+    path.write_text(json.dumps(problem))
+    assert cli.main(["gb", "--input", str(path)]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)["results"]["basis"]) == ["x^4", "y^4"]
+
+
 def test_ring_table_stays_bounded():
     # Serve many distinct presentations (regular_2d with renamed variables)
     # in one process: only the table's rings stay alive, each holding the

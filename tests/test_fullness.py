@@ -13,6 +13,7 @@ from fullness_lab import cli, corpus, fullness, idealcalc
 from fullness_lab.fullness import (
     FullnessError,
     GenericElementPolicy,
+    PredicateResult,
     is_full,
     is_m_full,
     is_weakly_m_full,
@@ -27,7 +28,8 @@ from fullness_lab.idealcalc import (
     quotient_view,
     times_m_power,
 )
-from fullness_lab.polyring import PolyRing, PrimeField
+from fullness_lab.invariants import _ladder, reduction_number
+from fullness_lab.polyring import QQ, PolyRing, PrimeField
 
 P32 = PrimeField(32003)
 REG2 = QuotientRing(PolyRing(["x", "y"], P32))
@@ -177,18 +179,19 @@ def test_policy_rejects_trials_that_are_not_a_positive_integer(trials):
 
 
 def _sampled_predicates(problem: dict) -> list:
-    """(ideal, predicate, sampled x's) for every sampled predicate that a
-    `dao` request on `problem` evaluates."""
+    """(ideal, predicate, tested forms) for every test that a `dao` request
+    on `problem` evaluates: a sampled x alone, or all of m for weak
+    m-fullness."""
     calls = []
     equation = fullness._equation
 
     def recording(I, predicate):
-        holds, xs = equation(I, predicate), []
-        calls.append((I, predicate, xs))
+        holds, tested = equation(I, predicate), []
+        calls.append((I, predicate, tested))
 
-        def spy(x):
-            xs.append(x)
-            return holds(x)
+        def spy(*forms):
+            tested.append(forms)
+            return holds(*forms)
 
         return spy
 
@@ -205,18 +208,88 @@ def test_rank_verdict_matches_the_groebner_colon():
     for name, characteristic in cases:
         problem = corpus.load(name)
         problem["ring"]["characteristic"] = characteristic
-        for I, predicate, xs in _sampled_predicates(problem):
+        for I, predicate, tested in _sampled_predicates(problem):
             ring, m = I.ring, I.ring.maximal_ideal()
             N, T = (ideal_product(I, m), I) if predicate == "m-full" else (I, ideal_colon(I, m))
             assert quotient_view(N) is not None, (name, predicate)
             by_rank = fullness._equation(I, predicate)
-            for x in xs + ring.ambient.gens():
-                verdict = by_rank(x)
-                assert verdict == ideal_equal_local(oracles.groebner_colon(N, ring.ideal([x])), T), (
-                    name, characteristic, predicate, str(x),
+            variables = tuple(ring.ambient.gens())
+            for forms in tested + [(x,) for x in variables] + [variables]:
+                verdict = by_rank(*forms)
+                assert verdict == ideal_equal_local(oracles.groebner_colon(N, ring.ideal(forms)), T), (
+                    name, characteristic, predicate, [str(x) for x in forms],
                 )
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _weak_by_groebner(I) -> bool:
+    m = I.ring.maximal_ideal()
+    return ideal_equal_local(oracles.groebner_colon(ideal_product(I, m), m), I)
+
+
+@pytest.mark.parametrize("characteristic", [32003, 0])
+def test_weak_verdict_matches_the_groebner_colon(characteristic):
+    # Im : m = I is decided by the rank of the stacked map v -> (x_1 v, ...)
+    # on P/Im.  On every rung I m^n + m^(n+r+1) of the fast corpus, n up to
+    # alpha + 2, and on seeded m-primary ideals in two and three variables
+    # and their products with m, it must agree with the Groebner colon.
+    field = PrimeField(characteristic) if characteristic else QQ
+    rungs = []
+    for name in FAST_CORPUS:
+        problem = corpus.load(name)
+        problem["ring"]["characteristic"] = characteristic
+        ring = cli.build_ring(problem)
+        I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
+        alpha = cli.run(problem, {"task": "dao"})["results"]["alpha"]
+        r = reduction_number(I).r
+        rungs += [_ladder(I, n, r + 1) for n in range(alpha + 3)]
+    seeded, rng = [], random.Random(31)
+    for variables in (["x", "y"], ["x", "y", "z"]):
+        ring = QuotientRing(PolyRing(variables, field))
+        amb = ring.ambient
+        for _ in range(5):  # a monomial ideal and a dense form, truncated
+            gens = [amb.monomial(u) for u in oracles.random_monomial_ideal(rng, amb.nvars, 3, 2)]
+            gens.append(oracles.random_polynomial(rng, amb, (rng.randint(2, 3),)))
+            K = _ladder(ring.ideal(gens), 0, rng.randint(3, 5))
+            seeded += [K, times_m_power(K, 1)]
+    for ideals in (rungs, seeded):
+        verdicts = set()
+        for K in ideals:
+            assert quotient_view(ideal_product(K, K.ring.maximal_ideal())) is not None, str(K)
+            verdict = is_weakly_m_full(K)
+            assert verdict == PredicateResult(verdict.value, None, True, 0)
+            assert verdict.value == _weak_by_groebner(K), (characteristic, str(K))
+            verdicts.add(verdict.value)
+        assert verdicts == {True, False}
+
+
+def test_weak_m_fullness_with_no_view_keeps_the_colon(monkeypatch):
+    # (x^2 - x, y) is m in the local ring, so it is weakly m-full, but
+    # P/(I m) is not finite-dimensional: the test is the Groebner colon.
+    I = REG2.parse_ideal(["x^2 - x", "y"])
+    assert quotient_view(ideal_product(I, REG2.maximal_ideal())) is None
+    divisors = []
+    colon = fullness.ideal_colon
+
+    def recording(A, B):
+        divisors.append(len(B.gens))
+        return colon(A, B)
+
+    monkeypatch.setattr(fullness, "ideal_colon", recording)
+    assert is_weakly_m_full(I).value and _weak_by_groebner(I)
+    assert divisors == [2]
+
+
+@pytest.mark.parametrize("name", FAST_CORPUS)
+def test_weak_m_fullness_of_a_table_rung_takes_no_colon(name, monkeypatch):
+    problem = corpus.load(name)
+    ring = cli.build_ring(problem)
+    I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
+    r = reduction_number(I).r
+    monkeypatch.setattr(fullness, "ideal_colon", lambda *a: pytest.fail("ideal_colon called"))
+    for n in range(3):
+        is_weakly_m_full(_ladder(I, n, r + 1))
 
 
 @pytest.mark.parametrize("name", FAST_CORPUS)

@@ -394,7 +394,7 @@ def test_table_rungs_keep_the_basis_of_the_truncated_ideal():
 )
 def test_reduction_number_builds_no_rung(monkeypatch, ring, gens):
     # r comes from one Groebner basis of J* + L: no rung, no product and no
-    # normal form of m-powers.  The table then builds its rungs, and the
+    # membership test of m-powers.  The table then builds its rungs, and the
     # product N = K m that m-fullness takes of a rung is the next rung: one
     # handle, one Groebner basis.
     from fullness_lab import invariants
@@ -403,7 +403,7 @@ def test_reduction_number_builds_no_rung(monkeypatch, ring, gens):
     E = ring()
     I = E.parse_ideal(gens)
     with monkeypatch.context() as patch:
-        for name in ("_ladder", "_contains_m_power", "ideal_product"):
+        for name in ("_ladder", "ideal_contains_local_ideal", "ideal_product"):
             patch.setattr(invariants, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
         assert reduction_number(I).r == 1
     table = []
