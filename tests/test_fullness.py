@@ -241,9 +241,8 @@ def test_weak_verdict_matches_the_groebner_colon(characteristic):
         problem["ring"]["characteristic"] = characteristic
         ring = cli.build_ring(problem)
         I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
-        alpha = cli.run(problem, {"task": "dao"})["results"]["alpha"]
-        r = reduction_number(I).r
-        rungs += [_ladder(I, n, r + 1) for n in range(alpha + 3)]
+        results = cli.run(problem, {"task": "dao"})["results"]
+        rungs += [_ladder(I, n, results["r"] + 1) for n in range(results["alpha"] + 3)]
     seeded, rng = [], random.Random(31)
     for variables in (["x", "y"], ["x", "y", "z"]):
         ring = QuotientRing(PolyRing(variables, field))
@@ -283,6 +282,8 @@ def test_weak_m_fullness_with_no_view_keeps_the_colon(monkeypatch):
 
 @pytest.mark.parametrize("name", FAST_CORPUS)
 def test_weak_m_fullness_of_a_table_rung_takes_no_colon(name, monkeypatch):
+    # I m of a rung contains a power of m, so Im : m = I is one rank on
+    # P/Im: no Groebner colon and none of its intersections.
     problem = corpus.load(name)
     ring = cli.build_ring(problem)
     I = cli._resolve_ideal(problem["options"]["ideal"], ring, {}, problem)
