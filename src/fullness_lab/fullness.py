@@ -133,8 +133,10 @@ def _equation(I: IdealHandle, predicate: str):
     else:
         raise FullnessError(f"unknown predicate {predicate!r}")
     view = quotient_view(N)
-    if view is None:
-        return lambda *forms: ideal_equal_local(ideal_colon(N, I.ring.ideal(forms)), T)
+    if view is None:  # all of m is the ring's handle, whose basis is built
+        return lambda *forms: ideal_equal_local(
+            ideal_colon(N, m if forms == m.gens else I.ring.ideal(forms)), T
+        )
     # N lies in T, so T's standard monomials are those of N no lead of T divides.
     leads = [g.lead_monomial for g in T.gb.basis]
     length = sum(1 for u in view.std if not any(t.divides(u) for t in leads))

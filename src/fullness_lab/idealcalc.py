@@ -69,14 +69,18 @@ class QuotientRing:
     The ring keeps the zero ideal, whose basis is that of J, and one memo
     that every layer reads and writes through `memo`.  A memo key names
     what its result depends on: an ideal by its reduced basis, an element
-    by itself.  `start_request` keeps the entries whose key names neither,
-    which depend on the presentation alone: the powers of m, the depth
-    witness, the Ratliff-Rush records of m-powers, the tangent cone J* and
-    the regularity bound of G(m).  Their sampled forms are drawn from seeds
-    of the presentation, never of a request, so no request's seed outlives
-    it.  Every Groebner run on its ideals honours its degree cap.  The
-    ambient order must be degrevlex, which the intersections need: they
-    homogenize with a last variable h and set h = 1 in a degrevlex basis.
+    by itself.  `start_request` keeps the entries whose key names no
+    element and no ideal but a power of m with a built ("m-power", k)
+    entry.  They depend on the presentation alone: the powers of m, the
+    depth witness, the Ratliff-Rush records of m-powers, the tangent cone
+    J*, the regularity bound of G(m), and the views, products, colons and
+    intersections of built powers, which the table rows n >= r take.
+    Their sampled forms are drawn from seeds of the presentation, never of
+    a request, so no request's seed outlives it.  The kept set is a few
+    entries per built power and per pair of them.  Every Groebner run on
+    its ideals honours its degree cap.  The ambient order must be
+    degrevlex, which the intersections need: they homogenize with a last
+    variable h and set h = 1 in a degrevlex basis.
     """
 
     def __init__(
@@ -134,11 +138,19 @@ class QuotientRing:
         return result
 
     def start_request(self):
-        """Drop the memo entries whose key names an ideal or an element:
-        keys of strings and integers alone stay."""
+        """Drop the memo entries whose key names an element, or an ideal
+        other than a power of m with a built basis in an ("m-power", k)
+        entry; a product or an intersection stays when all its ideals do."""
+        powers = {h._gb.basis for key, h in self._op_cache.items()
+                  if key[0] == "m-power" and h._gb is not None}
+
+        def kept(part):
+            if isinstance(part, frozenset):
+                return part <= powers
+            return isinstance(part, (str, int)) or part in powers
+
         self._op_cache = {
-            key: value for key, value in self._op_cache.items()
-            if all(isinstance(part, (str, int)) for part in key)
+            key: value for key, value in self._op_cache.items() if all(map(kept, key))
         }
 
     def m_power(self, k: int) -> "IdealHandle":

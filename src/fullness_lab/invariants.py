@@ -380,6 +380,11 @@ def _table_rows(
     is I + m, which holds m whatever I is, so I + m^2 is asked instead.
     Rungs contain a power of m, so `ideal_contains_local_ideal` answers by
     normal forms.  A wrong r raises.
+
+    For n >= r the rung is m^(n+1) + J, as both are m-primary and equal
+    locally, so rows from r on work on powers of m; the ring keeps their
+    views, colons and products from request to request once it has built
+    the power (`QuotientRing.start_request`).
     """
     if not ideal_contains_local_ideal(_ladder(I, r, max(r + 1, 2)), I.ring.m_power(r + 1)) or (
         r and ideal_contains_local_ideal(_ladder(I, r - 1, r + 1), I.ring.m_power(r))

@@ -2,10 +2,11 @@
 
 A traced benchmark run (`perfbench/run.py --trace 1`) fails when an entry
 point that `perfbench/tracing.py` expects on the workload records no call
-in the timed requests.  Here each workload's warm-up is served in-process
-and then one cycle with counting wrappers on every binding of those entry
-points, so a change that stops calling one of them fails here, before a
-benchmark run.  Both benchmark files are read, never changed.
+in the timed requests.  Here, for seeds 1, 2 and 3, each workload's warm-up
+is served in-process and then one cycle, with counting wrappers on every
+binding of those entry points, so a change that stops calling one of them
+at any of those seeds fails here, before a benchmark run.  Both benchmark
+files are read, never changed.
 """
 
 import importlib.util
@@ -49,10 +50,12 @@ def _count_calls(monkeypatch, calls: Counter):
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_one_cycle_calls_every_expected_entry_point(monkeypatch, workload):
-    # A fresh ring table, as in a new serving process.
-    monkeypatch.setattr(cli, "_RING_TABLE", OrderedDict())
     bench = workloads.WORKLOADS[workload](corpus)
-    seed = 1
+    expected = {
+        f"{module}.{name}" for (module, name), on in tracing.ENTRY_POINTS.items() if workload in on
+    }
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
 
     def serve(req):
         if not bench.long_lived:
@@ -60,13 +63,12 @@ def test_one_cycle_calls_every_expected_entry_point(monkeypatch, workload):
         report = cli.run(req["problem"])
         assert workloads.check_answer(bench, req, report) is None, req["kind"]
 
-    for req in bench.warmup(seed):
-        serve(req)
-    calls: Counter = Counter()
-    _count_calls(monkeypatch, calls)
-    for req in bench.cycle(seed, 0):
-        serve(req)
-    expected = {
-        f"{module}.{name}" for (module, name), on in tracing.ENTRY_POINTS.items() if workload in on
-    }
-    assert sorted(key for key in expected if not calls[key]) == []
+    for seed in (1, 2, 3):
+        # A fresh ring table, as in a new serving process.
+        monkeypatch.setattr(cli, "_RING_TABLE", OrderedDict())
+        for req in bench.warmup(seed):
+            serve(req)
+        calls.clear()
+        for req in bench.cycle(seed, 0):
+            serve(req)
+        assert sorted(key for key in expected if not calls[key]) == [], seed

@@ -5,7 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import pytest
@@ -268,6 +268,20 @@ def test_mathematical_error_exit_code(tmp_path):
         assert cli.main(["rednum", "--input", path]) == 2, (relations, gens)
 
 
+def test_dao_of_a_degenerate_pair_on_example_4_1_is_a_mathematical_error(tmp_path, capsys):
+    # The z/t minor of the two forms vanishes mod 32003 (see
+    # test_invariants.py), so they are no reduction of m: exit 2.
+    problem = corpus.load("example_4_1")
+    problem.pop("expected")
+    problem["ideals"] = {"I": [
+        "17615*x + 22777*y + 29580*z + 15299*t", "21845*x + 26392*y + 27671*z + 14871*t"
+    ]}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(problem))
+    assert cli.main(["dao", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("mathematical error:")
+
+
 def test_rednum_of_the_zero_ideal_in_dimension_zero(tmp_path, capsys):
     # In k[x]/(x^2) the zero ideal is a reduction of m, with r = 1.
     path = _rednum_problem(tmp_path / "zero.json", ["x"], ["x^2"], ["x^2"])
@@ -380,23 +394,93 @@ def _benchmark_workloads():
     return module
 
 
-def _names_ideal_or_element(part) -> bool:
-    if isinstance(part, Polynomial):
-        return True
-    return isinstance(part, (tuple, frozenset)) and any(map(_names_ideal_or_element, part))
+def _named(key) -> tuple[list, list]:
+    """The reduced bases of the ideals and the elements a memo key names."""
+    ideals, elements = [], []
+    for part in key:
+        if isinstance(part, Polynomial):
+            elements.append(part)
+        elif isinstance(part, frozenset):
+            ideals.extend(part)
+        elif isinstance(part, tuple):
+            ideals.append(part)
+    return ideals, elements
 
 
 def test_start_request_keeps_only_ring_level_entries():
+    # Kept: the entries that name no element, and no ideal other than a
+    # power of m whose ("m-power", k) entry is built.
     problem = corpus.load("example_4_2_L")
     cli.run(problem)
     ring = cli.build_ring(problem)
     before = dict(ring._op_cache)
-    assert any(_names_ideal_or_element(key) for key in before)
+    powers = {value.gb.basis for key, value in before.items() if key[0] == "m-power"}
+    assert any(basis not in powers for key in before for basis in _named(key)[0])
     ring.start_request()
     after = ring._op_cache
-    assert after and not any(_names_ideal_or_element(key) for key in after)
+    assert after and not any(_named(key)[1] for key in after)
+    assert all(set(_named(key)[0]) <= powers for key in after)
     assert all(before[key] is value for key, value in after.items())
-    assert {key[0] for key in after} == {"m-power", "depth-witness", "rr", "tangent-cone", "reg-G-upper"}
+    assert {key[0] for key in after} == {
+        "m-power", "depth-witness", "rr", "tangent-cone", "reg-G-upper",
+        "quotient-view", "product", "colon", "intersection",
+    }
+
+
+def test_a_warm_ring_builds_nothing_for_the_rows_on_built_powers_of_m(monkeypatch):
+    # With r = 1 the rungs I m^n + m^(n+2) of rows n >= 1 are m^(n+1) + J.
+    # The ring builds m to m^4 (the Ratliff-Rush closures reach m^4), so a
+    # second example_4_2 request on a warm ring builds a quotient view and
+    # a colon only for row 0, on its rung I + m^2, and one view for row 3,
+    # whose I m^3 + m^5 is m^5 + J.  Row 0's colon intersects m with
+    # itself (I + m^2 : x_i = m), an entry kept too.
+    monkeypatch.setattr(cli, "_RING_TABLE", OrderedDict())
+    dense = _benchmark_workloads().DenseIdeals(corpus)
+    first, second = [
+        req["problem"] for req in dense.cycle(1, 0) if req["kind"] == "example_4_2:2gen"
+    ][:2]
+    cli.run(first)
+    ring = cli.build_ring(first)
+    misses: Counter = Counter()
+    memo = ring.memo
+
+    def counted(key, build):
+        misses[key[0]] += key not in ring._op_cache
+        return memo(key, build)
+
+    monkeypatch.setattr(ring, "memo", counted)
+    results = cli.run(second)["results"]
+    assert results["r"] == 1 and [row["n"] for row in results["predicate_table"]] == [0, 1, 2, 3]
+    built = {kind: misses[kind] for kind in ("quotient-view", "colon", "intersection")}
+    assert built == {"quotient-view": 2, "colon": 1, "intersection": 0}
+
+
+def test_the_kept_set_stays_bounded_after_a_degenerate_draw(monkeypatch):
+    # The draw of test_invariants.py whose x/y minor vanishes has r = 3,
+    # so its rows reach higher powers of m than the generic r = 1 ones.
+    # Those are not ("m-power", k) entries of the ring, so serving it keeps
+    # nothing new, and each kept key names at most two powers.
+    monkeypatch.setattr(cli, "_RING_TABLE", OrderedDict())
+    dense = _benchmark_workloads().DenseIdeals(corpus)
+    generic = [req["problem"] for req in dense.cycle(2, 0) if req["kind"] == "example_4_2:2gen"]
+    degenerate = {
+        **generic[0], "ideals": {"I": ["11640*x + 30444*y + 1554*z", "14143*x + 30161*y + 15051*z"]}
+    }
+    ring = cli.build_ring(generic[0])
+    snapshots, rs = [], []
+    for problem in (generic[0], degenerate, generic[1], degenerate, generic[2]):
+        rs.append(cli.run(problem)["results"]["r"])
+        ring.start_request()
+        snapshots.append(dict(ring._op_cache))
+    assert rs == [1, 3, 1, 3, 1]
+    for later in snapshots[1:]:
+        assert later.keys() == snapshots[0].keys()
+        assert all(later[key] is value for key, value in snapshots[0].items())
+    # Per power: its entry, its closure, its view; per pair of powers: a
+    # product, a colon, an intersection; and three entries of the ring.
+    powers = sum(key[0] == "m-power" for key in snapshots[4])
+    assert all(len(set(_named(key)[0])) <= 2 for key in snapshots[4])
+    assert len(snapshots[4]) <= 3 + 3 * powers + 3 * powers**2
 
 
 def test_readme_names_the_flags_and_options_the_cli_accepts(monkeypatch, capsys):
@@ -482,7 +566,7 @@ def test_warm_rings_serve_the_reports_of_fresh_ones():
     workloads = _benchmark_workloads()
     dense = workloads.DenseIdeals(corpus)
     qq = workloads.QQKernels(corpus)
-    problems = [req["problem"] for req in dense.warmup(5) + qq.cycle(5, 0)]
+    problems = [req["problem"] for req in dense.warmup(5) + dense.cycle(5, 0) + qq.cycle(5, 0)]
     warm = [cli.run(problem) for problem in problems]
     for problem, report in zip(problems, warm):
         cli._RING_TABLE.clear()

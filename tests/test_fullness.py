@@ -280,6 +280,25 @@ def test_weak_m_fullness_with_no_view_keeps_the_colon(monkeypatch):
     assert divisors == [2]
 
 
+def test_weak_m_fullness_with_no_view_divides_by_the_rings_m(monkeypatch):
+    # With I, m and I m built, the colon I m : m takes one syzygy run per
+    # variable and no basis of m beside the ring's own.
+    ring = QuotientRing(PolyRing(["x", "y"], P32))
+    I = ring.parse_ideal(["x^2 - x", "y"])
+    for handle in (I, ring.maximal_ideal(), ideal_product(I, ring.maximal_ideal())):
+        handle.gb
+    runs = []
+    buchberger = idealcalc.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(idealcalc, "buchberger", counted)
+    assert is_weakly_m_full(I).value
+    assert len(runs) == 2
+
+
 @pytest.mark.parametrize("name", FAST_CORPUS)
 def test_weak_m_fullness_of_a_table_rung_takes_no_colon(name, monkeypatch):
     # I m of a rung contains a power of m, so Im : m = I is one rank on

@@ -122,6 +122,19 @@ def test_non_reduction_detected():
             reduction_number(E.parse_ideal(["0"]))
 
 
+def test_two_forms_whose_zt_minor_vanishes_are_no_reduction():
+    # The z/t minor 29580*14871 - 15299*27671 is 0 mod 32003: on the plane
+    # x = y = 0 of J* = (xy, xz, yz) both forms vanish on one line, so they
+    # are no reduction of m.  The dense-ideals benchmark draws them at seed
+    # 1, cycle 364, where its check expects the generic tuple.
+    assert (29580 * 14871 - 15299 * 27671) % 32003 == 0
+    I = ring_4_1().parse_ideal(
+        ["17615*x + 22777*y + 29580*z + 15299*t", "21845*x + 26392*y + 27671*z + 14871*t"]
+    )
+    with pytest.raises(NotAReductionError):
+        reduction_number(I)
+
+
 def _least_k_with_local_equality(I):
     """The reduction number by its definition, with local equality tests on
     the untruncated ideals I m^k."""
